@@ -12,18 +12,6 @@
 
 namespace cachekv {
 
-namespace {
-
-/// Sequence of the last batch this thread committed on any DB, for
-/// DB::ThreadLastCommitSeq(). One static suffices: a caller waiting on
-/// a write's replication does so immediately after performing it, so
-/// the value can only describe that write.
-thread_local SequenceNumber tls_last_commit_seq = 0;
-
-}  // namespace
-
-SequenceNumber DB::ThreadLastCommitSeq() { return tls_last_commit_seq; }
-
 DB::DB(PmemEnv* env, const CacheKVOptions& options)
     : env_(env),
       options_(options),
@@ -334,10 +322,7 @@ Status DB::SealAndReplace(int core,
   return AcquireFor(core);
 }
 
-Status DB::WriteToCore(int core, SequenceNumber seq, ValueType type,
-                       const Slice& key, const Slice& value) {
-  // The per-slot mutex stands in for per-core exclusivity: uncontended
-  // when each thread owns a slot, correct when threads share one.
+Status DB::AppendRecords(int core, const Slice& records, uint32_t count) {
   for (int attempt = 0; attempt < 16; attempt++) {
     std::shared_ptr<ActiveTable> t = metadata_[core];
     if (t == nullptr) {
@@ -350,22 +335,7 @@ Status DB::WriteToCore(int core, SequenceNumber seq, ValueType type,
     Status s;
     {
       OBS_SPAN(&metrics_, "put.append");
-      s = t->table.Append(seq, type, key, value);
-    }
-    if (s.ok()) {
-      if (!options_.lazy_index_update) {
-        // PCSM mode: diligently update the sub-skiplist on every write.
-        OBS_SPAN(&metrics_, "put.index_sync");
-        return t->index->SyncWithTable(t->table);
-      }
-      uint64_t pending =
-          t->writes_since_sync.fetch_add(1, std::memory_order_relaxed) +
-          1;
-      if (pending >= options_.sync_write_threshold) {
-        t->writes_since_sync.store(0, std::memory_order_relaxed);
-        ScheduleSync(t);
-      }
-      return s;
+      s = t->table.AppendEncoded(records, count);
     }
     if (s.IsOutOfSpace()) {
       s = SealAndReplace(core, std::move(t));
@@ -374,10 +344,25 @@ Status DB::WriteToCore(int core, SequenceNumber seq, ValueType type,
       }
       continue;  // retry on the fresh table
     }
+    if (!s.ok()) {
+      return s;
+    }
+    if (!options_.lazy_index_update) {
+      // PCSM mode: diligently update the sub-skiplist on every write.
+      OBS_SPAN(&metrics_, "put.index_sync");
+      return t->index->SyncWithTable(t->table);
+    }
+    uint64_t pending = t->writes_since_sync.fetch_add(
+                           count, std::memory_order_relaxed) +
+                       count;
+    if (pending >= options_.sync_write_threshold) {
+      t->writes_since_sync.store(0, std::memory_order_relaxed);
+      ScheduleSync(t);
+    }
     return s;
   }
   return Status::OutOfSpace(
-      "record does not fit any available sub-memtable");
+      "records do not fit any available sub-memtable");
 }
 
 SequenceNumber DB::AllocSeqBlock(size_t n) {
@@ -424,7 +409,34 @@ bool DB::ShouldSeparate(const Slice& key, const Slice& value) const {
          vlog_->Fits(key.size(), value.size());
 }
 
-Status DB::Write(ValueType type, const Slice& key, const Slice& value) {
+namespace {
+
+/// A single-key write as a one-op batch. The batch is per thread and
+/// reused, so a steady stream of Puts allocates nothing here; nothing
+/// keeps a reference past the MultiPut call (a deferred commit hook
+/// copies its ops).
+const std::vector<KVStore::BatchOp>& OneOpBatch(bool is_delete,
+                                                const Slice& key,
+                                                const Slice& value) {
+  thread_local std::vector<KVStore::BatchOp> batch(1);
+  batch[0].is_delete = is_delete;
+  batch[0].key.assign(key.data(), key.size());
+  batch[0].value.assign(value.data(), value.size());
+  return batch;
+}
+
+}  // namespace
+
+Status DB::Put(const Slice& key, const Slice& value) {
+  return MultiPut(OneOpBatch(false, key, value));
+}
+
+Status DB::Delete(const Slice& key) {
+  return MultiPut(OneOpBatch(true, key, Slice()));
+}
+
+Status DB::MultiPut(const std::vector<BatchOp>& batch,
+                    SequenceNumber* committed_seq) {
   OBS_SPAN(&metrics_, "put");
   // Background-error propagation: once a flush/index/compaction stage
   // failed hard, acknowledge no further writes.
@@ -432,93 +444,24 @@ Status DB::Write(ValueType type, const Slice& key, const Slice& value) {
   if (!gate.ok()) {
     return gate;
   }
-  // Key–value separation: a large value goes to the value log and the
-  // memory component carries a 16-byte pointer (values too large for a
-  // vlog segment fall back to the inline path and the check below).
-  const bool separate = type == kTypeValue && ShouldSeparate(key, value);
-  if (MaxRecordSize(key.size(),
-                    separate ? kValuePointerSize : value.size()) >
-      options_.sub_memtable_bytes - SubMemTable::kDataOffset) {
-    return Status::InvalidArgument(
-        "record larger than a full-size sub-memtable");
-  }
-  puts_->Increment();
-  const int core = CoreOf();
-  std::lock_guard<std::mutex> core_lock(core_mu_[core % kMaxCoreLocks]);
-  // The sequence is allocated while the core lock is held so the vlog
-  // GC's write fence (all core locks) can rely on: any writer not
-  // currently holding a core lock will sequence AFTER a fenced GC
-  // relocation, and any writer inside the fence has published.
-  const SequenceNumber seq = AllocSeqBlock(1);
-  Status s;
-  if (separate) {
-    // The value must be durable in the log before the pointer can
-    // commit: recovery replays the pointer only if the record frame
-    // checks out, so an acked key never dangles.
-    ValuePointer ptr;
-    s = vlog_->Append(seq, key, value, &ptr);
-    if (s.ok()) {
-      std::string encoded_ptr;
-      EncodeValuePointer(&encoded_ptr, ptr);
-      s = WriteToCore(core, seq, kTypeValuePointer, key,
-                      Slice(encoded_ptr));
-      if (s.ok()) {
-        separated_puts_->Increment();
-      } else {
-        // Orphaned log record (pointer never committed): it is dead
-        // weight until GC reclaims the segment.
-        vlog_->AddDeadBytes(ptr, key.size());
-      }
-    }
-  } else {
-    s = WriteToCore(core, seq, type, key, value);
-  }
-  if (s.ok()) {
-    tls_last_commit_seq = seq;
-    ingest_bytes_->fetch_add(key.size() + value.size());
-  }
-  if (commit_hook_) {
-    if (s.ok()) {
-      std::vector<BatchOp> ops(1);
-      ops[0].is_delete = type == kTypeDeletion;
-      ops[0].key = key.ToString();
-      if (type != kTypeDeletion) ops[0].value = value.ToString();
-      DispatchCommitHook(seq, seq, &ops);
-    } else {
-      DispatchCommitHook(seq, seq, nullptr);
-    }
-  }
-  return s;
-}
-
-Status DB::Put(const Slice& key, const Slice& value) {
-  return Write(kTypeValue, key, value);
-}
-
-Status DB::ApplyBatch(const std::vector<BatchOp>& batch) {
-  return MultiPut(batch);
-}
-
-Status DB::MultiPut(const std::vector<BatchOp>& batch) {
-  OBS_SPAN(&metrics_, "put");
-  Status gate = bg_errors_.CheckWritable();
-  if (!gate.ok()) {
-    return gate;
-  }
   if (batch.empty()) {
     return Status::OK();
   }
+  // Key–value separation: a large value goes to the value log and the
+  // memory component carries a 16-byte pointer (values too large for a
+  // vlog segment stay inline and face the size check below).
+  auto separate = [this](const BatchOp& op) {
+    return !op.is_delete && ShouldSeparate(Slice(op.key), Slice(op.value));
+  };
   size_t encoded_bound = 0;
-  std::vector<uint8_t> separate(batch.size(), 0);
-  for (size_t i = 0; i < batch.size(); i++) {
-    const BatchOp& op = batch[i];
+  uint64_t ingest_bytes = 0;
+  for (const BatchOp& op : batch) {
     if (op.key.empty()) {
       return Status::InvalidArgument("empty key in batch");
     }
-    separate[i] = !op.is_delete &&
-                  ShouldSeparate(Slice(op.key), Slice(op.value));
     encoded_bound += MaxRecordSize(
-        op.key.size(), separate[i] ? kValuePointerSize : op.value.size());
+        op.key.size(), separate(op) ? kValuePointerSize : op.value.size());
+    ingest_bytes += op.key.size() + op.value.size();
   }
   if (encoded_bound >
       options_.sub_memtable_bytes - SubMemTable::kDataOffset) {
@@ -526,12 +469,15 @@ Status DB::MultiPut(const std::vector<BatchOp>& batch) {
         "batch larger than a full-size sub-memtable");
   }
   puts_->Increment(batch.size());
-  obs::TraceScope trace(&trace_, "multiput");
+  // A single-key write is a one-op batch; only real batches are traced.
+  obs::TraceScope trace(batch.size() > 1 ? &trace_ : nullptr, "multiput");
   trace.AddArg("keys", batch.size());
   const int core = CoreOf();
   std::lock_guard<std::mutex> core_lock(core_mu_[core % kMaxCoreLocks]);
-  // Reserve a contiguous sequence block for the transaction (under the
-  // core lock — see the GC write-fence comment in Write()).
+  // The sequence block is reserved while the core lock is held so the
+  // vlog GC's write fence (all core locks) can rely on: any writer not
+  // currently holding a core lock will sequence AFTER a fenced GC
+  // relocation, and any writer inside the fence has published.
   const SequenceNumber first_seq = AllocSeqBlock(batch.size());
   const SequenceNumber last_seq = first_seq + batch.size() - 1;
   // Every exit below must settle the reserved block with the hook
@@ -559,10 +505,11 @@ Status DB::MultiPut(const std::vector<BatchOp>& batch) {
   std::string records;
   records.reserve(encoded_bound);
   SequenceNumber seq = first_seq;
-  for (size_t i = 0; i < batch.size(); i++) {
-    const BatchOp& op = batch[i];
-    if (separate[i]) {
-      // Durable in the log before the batch's single-CAS publish.
+  for (const BatchOp& op : batch) {
+    if (separate(op)) {
+      // The value must be durable in the log before the batch's
+      // single-CAS publish: recovery replays a pointer only if its
+      // record frame checks out, so an acked key never dangles.
       ValuePointer ptr;
       Status vs = vlog_->Append(seq, Slice(op.key), Slice(op.value), &ptr);
       if (!vs.ok()) {
@@ -579,68 +526,21 @@ Status DB::MultiPut(const std::vector<BatchOp>& batch) {
                    Slice(op.key), Slice(op.value));
     }
   }
-
-  auto mark_committed = [&] {
-    settle.committed = true;
-    settle.ops = &batch;
-    tls_last_commit_seq = last_seq;
-    uint64_t bytes = 0;
-    uint64_t separations = 0;
-    for (size_t i = 0; i < batch.size(); i++) {
-      bytes += batch[i].key.size() + batch[i].value.size();
-      separations += separate[i];
-    }
-    ingest_bytes_->fetch_add(bytes);
-    if (separations > 0) {
-      separated_puts_->Increment(separations);
-    }
-  };
-
-  for (int attempt = 0; attempt < 16; attempt++) {
-    std::shared_ptr<ActiveTable> t = metadata_[core];
-    if (t == nullptr) {
-      Status s = AcquireFor(core);
-      if (!s.ok()) {
-        return s;
-      }
-      t = metadata_[core];
-    }
-    Status s;
-    {
-      OBS_SPAN(&metrics_, "put.append");
-      s = t->table.AppendEncoded(Slice(records),
-                                 static_cast<uint32_t>(batch.size()));
-    }
-    if (s.ok()) {
-      if (!options_.lazy_index_update) {
-        OBS_SPAN(&metrics_, "put.index_sync");
-        Status sync = t->index->SyncWithTable(t->table);
-        if (sync.ok()) {
-          mark_committed();
-        }
-        return sync;
-      }
-      uint64_t pending = t->writes_since_sync.fetch_add(
-                             batch.size(), std::memory_order_relaxed) +
-                         batch.size();
-      if (pending >= options_.sync_write_threshold) {
-        t->writes_since_sync.store(0, std::memory_order_relaxed);
-        ScheduleSync(t);
-      }
-      mark_committed();
-      return s;
-    }
-    if (s.IsOutOfSpace()) {
-      s = SealAndReplace(core, std::move(t));
-      if (!s.ok()) {
-        return s;
-      }
-      continue;
-    }
+  Status s = AppendRecords(core, Slice(records),
+                           static_cast<uint32_t>(batch.size()));
+  if (!s.ok()) {
     return s;
   }
-  return Status::OutOfSpace(
-      "batch does not fit any available sub-memtable");
+  settle.committed = true;
+  settle.ops = &batch;
+  ingest_bytes_->fetch_add(ingest_bytes);
+  if (!settle.appended.empty()) {
+    separated_puts_->Increment(settle.appended.size());
+  }
+  if (committed_seq != nullptr) {
+    *committed_seq = last_seq;
+  }
+  return s;
 }
 
 uint64_t DB::ApproxMultiPutCapacityBytes() const {
@@ -798,10 +698,6 @@ Status DB::ScanAt(const Slice& start, size_t limit,
   }
   trace.AddArg("rows", out->size());
   return it->status();
-}
-
-Status DB::Delete(const Slice& key) {
-  return Write(kTypeDeletion, key, Slice());
 }
 
 Status DB::SearchRaw(const Slice& key, RawResult* out,
@@ -1034,7 +930,9 @@ Status DB::RelocateForGc(SequenceNumber record_seq, const Slice& key,
   if (s.ok()) {
     std::string encoded_ptr;
     EncodeValuePointer(&encoded_ptr, new_ptr);
-    s = WriteToCore(0, seq, kTypeValuePointer, key, Slice(encoded_ptr));
+    std::string record;
+    EncodeRecord(&record, seq, kTypeValuePointer, key, Slice(encoded_ptr));
+    s = AppendRecords(0, Slice(record), 1);
     if (!s.ok()) {
       vlog_->AddDeadBytes(new_ptr, key.size());  // orphaned copy
     }
@@ -1054,7 +952,6 @@ Status DB::RelocateForGc(SequenceNumber record_seq, const Slice& key,
         *snapshot_pinned = true;
       }
     }
-    tls_last_commit_seq = seq;
     // Followers replay user-visible ops, so the hook carries the value
     // itself — on the far side this is a benign same-bytes overwrite.
     BatchOp op;

@@ -63,7 +63,14 @@ class DB : public KVStore {
   using BatchOp = KVStore::BatchOp;
 
   /// Atomic batch commit: forwards to MultiPut.
-  Status ApplyBatch(const std::vector<BatchOp>& batch) override;
+  Status ApplyBatch(const std::vector<BatchOp>& batch) override {
+    return MultiPut(batch);
+  }
+  /// ApplyBatch that also reports the committed sequence (see MultiPut).
+  Status ApplyBatch(const std::vector<BatchOp>& batch,
+                    SequenceNumber* committed_seq) {
+    return MultiPut(batch, committed_seq);
+  }
 
   /// Ordered forward scan built on NewScanIterator().
   Status Scan(const Slice& start, size_t limit,
@@ -75,8 +82,13 @@ class DB : public KVStore {
   /// published by a single 64-bit header CAS, so a crash either persists
   /// the whole batch or none of it. All records carry one sequence
   /// number block assigned atomically. Fails with InvalidArgument when
-  /// the batch cannot fit one sub-MemTable.
-  Status MultiPut(const std::vector<BatchOp>& batch);
+  /// the batch cannot fit one sub-MemTable or carries an empty key.
+  /// This is the store's only write path: Put and Delete are one-op
+  /// batches. On success `*committed_seq` (when non-null) receives the
+  /// sequence number of the batch's last record — what a replication
+  /// ack wait names (repl::ReplHub::WaitCommitAcked).
+  Status MultiPut(const std::vector<BatchOp>& batch,
+                  SequenceNumber* committed_seq = nullptr);
 
   /// Forward iterator over the live user keys (freshest versions,
   /// tombstones elided), merging the sub-MemTables, the staged zone, and
@@ -200,13 +212,6 @@ class DB : public KVStore {
   /// in-flight writes: set it before the DB starts serving.
   void SetCommitHook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
-  /// The last sequence number this thread committed through Put /
-  /// Delete / MultiPut on any DB, or 0 if it never wrote. Lets a
-  /// server worker wait for the replication of exactly the write it
-  /// just performed instead of whatever the log head happens to be
-  /// (repl::ReplHub::WaitCommitAcked).
-  static SequenceNumber ThreadLastCommitSeq();
-
   SubMemTablePool* pool() { return pool_.get(); }
   FlushedZone* zone() { return zone_.get(); }
   LsmEngine* engine() { return engine_.get(); }
@@ -273,9 +278,10 @@ class DB : public KVStore {
                        const ValuePointer& old_ptr, const Slice& value,
                        bool* relocated, bool* snapshot_pinned);
 
-  Status Write(ValueType type, const Slice& key, const Slice& value);
-  Status WriteToCore(int core, SequenceNumber seq, ValueType type,
-                     const Slice& key, const Slice& value);
+  /// Appends `count` pre-encoded records to `core`'s sub-MemTable and
+  /// publishes them with one header CAS, sealing and replacing the
+  /// table when they do not fit. The caller holds the core's lock.
+  Status AppendRecords(int core, const Slice& records, uint32_t count);
   /// Reserves a block of `n` sequence numbers, returning the first.
   /// With a commit hook installed the block is also registered as
   /// in-flight (atomically with the reservation) so DispatchCommitHook

@@ -115,23 +115,39 @@ const char* OpTraceName(Op op) {
   return "net.other";
 }
 
+bool IsWriteOp(Op op) {
+  return op == Op::kPut || op == Op::kDelete || op == Op::kMultiPut;
+}
+
+/// A write run folds at most this many PUT/DEL requests.
+constexpr size_t kMaxRunRequests = 64;
+/// Per-record framing allowance when sizing a run against its byte cap.
+constexpr size_t kRecordOverhead = 64;
+
 }  // namespace
 
 /// Per-request stage clock feeding both halves of the telemetry plane:
 /// each Stage() call closes the window since the previous mark, emitting
-/// a tracer span tagged with the trace id (traced requests) and
-/// accumulating the stage into a SlowLogEntry. Finish() — called from
-/// the destructor — records the entry when the request exceeded the
-/// slow threshold. Inert (no clock reads) when the request is neither
-/// traced nor eligible for the slow log.
+/// a tracer span tagged with the trace id of every traced request it
+/// covers and accumulating the stage into a SlowLogEntry. Finish() —
+/// called from the destructor — records the entry when the requests
+/// exceeded the slow threshold. A write run is timed as one unit: its
+/// members share every stage, and its slow-log entry carries op 255
+/// ("batch"). Inert (no clock reads) when no request is traced and the
+/// slow log is off.
 class Server::RequestTimeline {
  public:
-  RequestTimeline(Server* server, const Frame& frame,
+  /// Times the `count` requests frames[0..count).
+  RequestTimeline(Server* server, const Frame* frames, size_t count,
                   uint32_t queue_depth)
       : server_(server),
         tracer_(server->primary()->trace()),
-        traced_(frame.traced),
-        trace_id_(frame.trace_id) {
+        frames_(frames),
+        count_(count) {
+    for (size_t i = 0; i < count_ && !traced_; i++) {
+      traced_ = frames_[i].traced;
+      entry_.trace_id = frames_[i].trace_id;
+    }
     slow_ns_ = server_->slow_log_ != nullptr
                    ? static_cast<uint64_t>(server_->options_.slow_request_us) *
                          1000
@@ -139,8 +155,7 @@ class Server::RequestTimeline {
     active_ = traced_ || slow_ns_ > 0;
     if (!active_) return;
     start_ns_ = last_ns_ = tracer_->NowNs();
-    entry_.trace_id = traced_ ? trace_id_ : 0;
-    entry_.op = static_cast<uint8_t>(frame.op);
+    entry_.op = count_ > 1 ? 255 : static_cast<uint8_t>(frames_[0].op);
     entry_.queue_depth = queue_depth;
   }
 
@@ -154,9 +169,11 @@ class Server::RequestTimeline {
   void Stage(const char* name) {
     if (!active_) return;
     const uint64_t now = tracer_->NowNs();
-    if (traced_) {
-      tracer_->Complete(name, last_ns_, now - last_ns_, "trace",
-                        trace_id_);
+    for (size_t i = 0; traced_ && i < count_; i++) {
+      if (frames_[i].traced) {
+        tracer_->Complete(name, last_ns_, now - last_ns_, "trace",
+                          frames_[i].trace_id);
+      }
     }
     entry_.AddStage(name, (now - last_ns_) / 1000);
     last_ns_ = now;
@@ -167,15 +184,13 @@ class Server::RequestTimeline {
     if (active_) entry_.SetKey(key.data(), key.size());
   }
 
-  bool traced() const { return traced_; }
-
-  /// The trace context for the response frame: echoes the request's id
-  /// and reports the service time measured so far.
-  TraceContext ResponseContext() const {
+  /// The trace context for the response to frames[member]: echoes its
+  /// trace id and reports the service time measured so far.
+  TraceContext ResponseContext(size_t member = 0) const {
     TraceContext tc;
-    if (traced_) {
+    if (frames_[member].traced) {
       tc.traced = true;
-      tc.trace_id = trace_id_;
+      tc.trace_id = frames_[member].trace_id;
       tc.server_ns = tracer_->NowNs() - start_ns_;
     }
     return tc;
@@ -201,8 +216,9 @@ class Server::RequestTimeline {
  private:
   Server* server_;
   obs::Tracer* tracer_;
-  bool traced_;
-  uint64_t trace_id_;
+  const Frame* frames_;
+  size_t count_;
+  bool traced_ = false;  // any covered request is traced
   uint64_t slow_ns_ = 0;
   bool active_ = false;
   bool finished_ = false;
@@ -323,16 +339,10 @@ Server::Server(std::vector<DB*> shards, const ShardRouter& router,
     }
   }
 
-  if (options_.max_batch_bytes != 0) {
-    batch_bytes_cap_ = options_.max_batch_bytes;
-  } else {
-    // Every op of a run could land on one shard, so the derived cap is
-    // the smallest shard's batch capacity.
-    for (DB* db : dbs_) {
-      const size_t cap = db->ApproxMultiPutCapacityBytes();
-      if (batch_bytes_cap_ == 0 || cap < batch_bytes_cap_) {
-        batch_bytes_cap_ = cap;
-      }
+  for (DB* db : dbs_) {
+    const size_t cap = db->ApproxMultiPutCapacityBytes();
+    if (batch_bytes_cap_ == 0 || cap < batch_bytes_cap_) {
+      batch_bytes_cap_ = cap;
     }
   }
 }
@@ -993,8 +1003,8 @@ bool Server::ProcessFrames(Worker* worker, Conn* conn) {
     if (NetTrace() && frames[i].op >= Op::kReplSubscribe)
       fprintf(stderr, "[%ld srv %d w%d] handle op=%d fd=%d\n", TraceMs(),
               (int)port_, worker->index, (int)frames[i].op, conn->fd);
-    if (frames[i].op == Op::kPut || frames[i].op == Op::kDelete) {
-      i = HandleWriteRun(conn, frames, i, depth);
+    if (IsWriteOp(frames[i].op)) {
+      i = HandleWrites(conn, frames, i, depth);
     } else {
       HandleRequest(conn, frames[i], depth);
       i++;
@@ -1037,240 +1047,244 @@ bool Server::ShedForBackpressure(Conn* conn, Op op, uint64_t id) {
   return true;
 }
 
-void Server::InvalidateCache(uint32_t shard, const Slice& key) {
+uint16_t Server::Admit(const Frame& frame, std::string* error) {
+  if (frame.response) {
+    // A client must never send response frames; treat as decode error.
+    decode_errors_->Increment();
+    *error = "response frame sent to server";
+    return kDecodeError;
+  }
+  if (frame.at_snapshot && frame.op != Op::kGet && frame.op != Op::kScan) {
+    *error = "at-snapshot flag on a non-read request";
+    return kInvalidArgument;
+  }
+  if (fault::AnyActive()) {
+    // An armed delay action here lands inside the req.decode stage
+    // window, so the slow log attributes it to decode.
+    Status injected = fault::Inject("net.decode");
+    if (!injected.ok()) {
+      decode_errors_->Increment();
+      *error = injected.ToString();
+      return kDecodeError;
+    }
+  }
+  return kOk;
+}
+
+Status Server::CommitShard(uint32_t shard,
+                           const std::vector<KVStore::BatchOp>& ops,
+                           uint64_t* seq) {
+  Status s = dbs_[shard]->ApplyBatch(ops, seq);
+  // Invalidate even when the commit failed: a spurious invalidation
+  // costs one cache miss, a missed one could shadow an acked write.
   if (!caches_.empty()) {
-    caches_[shard]->Invalidate(key);
-  }
-}
-
-bool Server::RejectIfReadOnly(Conn* conn, DB* db, Op op, uint64_t id,
-                              const TraceContext& tc) {
-  if (!db->IsReadOnly()) {
-    return false;
-  }
-  EncodeErrorResponse(&conn->out, op, id, kReadOnly,
-                      db->BackgroundError().ToString(), tc);
-  return true;
-}
-
-void Server::AppendWriteResponse(Conn* conn, DB* db, Op op, uint64_t id,
-                                 const Status& s,
-                                 const TraceContext& tc) {
-  if (s.ok()) {
-    EncodeOkResponse(&conn->out, op, id, Slice(), tc);
-  } else {
-    // A write refused because of background degradation surfaces as
-    // kReadOnly so clients can tell it from an ordinary IO error.
-    const uint16_t code =
-        db->IsReadOnly() ? static_cast<uint16_t>(kReadOnly) : WireCodeOf(s);
-    EncodeErrorResponse(&conn->out, op, id, code, s.ToString(), tc);
-  }
-}
-
-size_t Server::HandleWriteRun(Conn* conn, const std::vector<Frame>& frames,
-                              size_t begin, uint32_t queue_depth) {
-  // Stage timing is needed when the slow log is armed or any frame of
-  // the (prospective) run is traced; probing the op/traced flags ahead
-  // of parsing is cheap and may only over-include.
-  bool any_traced = false;
-  for (size_t j = begin; j < frames.size() &&
-                         (frames[j].op == Op::kPut ||
-                          frames[j].op == Op::kDelete);
-       j++) {
-    if (frames[j].traced) {
-      any_traced = true;
-      break;
+    for (const KVStore::BatchOp& op : ops) {
+      caches_[shard]->Invalidate(op.key);
     }
   }
-  obs::Tracer* tracer = primary()->trace();
-  const bool timing = any_traced || slow_log_ != nullptr;
-  const uint64_t t_start = timing ? tracer->NowNs() : 0;
+  return s;
+}
 
-  // Gather the maximal batchable run under the caps, routing each op to
-  // its shard as it is parsed.
-  std::vector<std::vector<KVStore::BatchOp>> shard_batches(dbs_.size());
-  std::vector<uint32_t> op_shards;  // shard of frames[begin + i]
-  std::string first_key;            // slow-log key prefix for the run
-  size_t end = begin;
-  size_t batch_bytes = 0;
-  size_t total_ops = 0;
-  while (end < frames.size() && total_ops < options_.max_batch_ops) {
-    const Frame& f = frames[end];
-    if ((f.op != Op::kPut && f.op != Op::kDelete) || f.at_snapshot) {
-      break;  // at-snapshot writes fall to HandleRequest and reject
+size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
+                            size_t begin, uint32_t queue_depth) {
+  // The run: a MULTIPUT alone, or consecutive PUT/DEL requests under the
+  // request and byte caps (a request's payload bounds its key + value).
+  size_t end = begin + 1;
+  if (frames[begin].op != Op::kMultiPut) {
+    size_t bytes = frames[begin].payload.size() + kRecordOverhead;
+    while (end < frames.size() && end - begin < kMaxRunRequests &&
+           (frames[end].op == Op::kPut || frames[end].op == Op::kDelete)) {
+      bytes += frames[end].payload.size() + kRecordOverhead;
+      if (batch_bytes_cap_ != 0 && bytes > batch_bytes_cap_) break;
+      end++;
     }
-    KVStore::BatchOp op;
-    if (f.op == Op::kPut) {
+  }
+  const Frame* run = &frames[begin];
+  const size_t count = end - begin;
+  requests_->Increment(count);
+  obs::SpanTimer span(primary()->metrics(), OpHistogramName(run[0].op));
+  obs::TraceScope trace(primary()->trace(), OpTraceName(run[0].op));
+  trace.AddArg("requests", count);
+  RequestTimeline timeline(this, run, count, queue_depth);
+
+  // One request of the run: its ops, each op's shard, and the commit
+  // outcome per touched shard. A nonzero `code` rejects the request
+  // before any of its ops commit.
+  struct WriteRequest {
+    std::vector<KVStore::BatchOp> ops;
+    std::vector<uint32_t> shards;
+    uint16_t code = kOk;
+    std::string error;
+    std::vector<std::pair<uint32_t, Status>> outcomes;
+  };
+  std::vector<WriteRequest> reqs(count);
+  for (size_t i = 0; i < count; i++) {
+    const Frame& f = run[i];
+    WriteRequest& r = reqs[i];
+    if (f.traced) {
+      traced_requests_->Increment();
+      trace.AddArg("trace", f.trace_id);
+    }
+    r.code = Admit(f, &r.error);
+    if (r.code != kOk) continue;
+    Status s;
+    if (f.op == Op::kMultiPut) {
+      MultiPutRequest req;
+      s = ParseMultiPutRequest(f.payload, &req);
+      r.ops = std::move(req.ops);
+    } else if (f.op == Op::kPut) {
       PutRequest req;
-      if (!ParsePutRequest(f.payload, &req).ok()) {
-        break;
+      s = ParsePutRequest(f.payload, &req);
+      if (s.ok()) {
+        r.ops.push_back({false, req.key.ToString(), req.value.ToString()});
       }
-      op.key = req.key.ToString();
-      op.value = req.value.ToString();
     } else {
       DeleteRequest req;
-      if (!ParseDeleteRequest(f.payload, &req).ok()) {
-        break;
+      s = ParseDeleteRequest(f.payload, &req);
+      if (s.ok()) {
+        r.ops.push_back({true, req.key.ToString(), std::string()});
       }
-      op.is_delete = true;
-      op.key = req.key.ToString();
     }
-    // 64 bytes per record bounds the engine's framing overhead.
-    const size_t cost = op.key.size() + op.value.size() + 64;
-    if (batch_bytes_cap_ != 0 && total_ops > 0 &&
-        batch_bytes + cost > batch_bytes_cap_) {
-      break;
+    if (!s.ok()) {
+      decode_errors_->Increment();
+      r.ops.clear();
+      r.code = kDecodeError;
+      r.error = s.ToString();
     }
-    batch_bytes += cost;
-    const uint32_t shard =
-        dbs_.size() == 1 ? 0 : router_.ShardOf(op.key);
-    if (total_ops == 0) first_key = op.key;
-    op_shards.push_back(shard);
-    shard_batches[shard].push_back(std::move(op));
-    total_ops++;
-    end++;
   }
-  if (total_ops <= 1) {
-    // Nothing to batch (lone write, or the first frame failed to
-    // parse); the single-op path owns its histogram and error.
-    HandleRequest(conn, frames[begin], queue_depth);
-    return begin + 1;
+  if (!reqs[0].ops.empty()) {
+    timeline.SetKey(reqs[0].ops[0].key);
   }
-  // The whole run shares one service span; each touched shard gets one
-  // commit, and every request is answered with its shard's outcome.
-  obs::SpanTimer span(primary()->metrics(), "net.op.put");
-  requests_->Increment(total_ops);
-  const uint64_t t_parsed = timing ? tracer->NowNs() : 0;
-  std::vector<Status> shard_status(dbs_.size(), Status::OK());
-  std::vector<bool> shard_read_only(dbs_.size(), false);
-  std::vector<bool> shard_not_primary(dbs_.size(), false);
-  std::vector<bool> shard_repl_timeout(dbs_.size(), false);
+  timeline.Stage("req.decode");
+
+  // Route every op, then check each request's shards before any of it
+  // commits: a follower or read-only shard rejects the whole request.
+  for (WriteRequest& r : reqs) {
+    for (const KVStore::BatchOp& op : r.ops) {
+      uint32_t shard = 0;
+      Route(op.key, &shard);
+      r.shards.push_back(shard);
+    }
+    for (size_t j = 0; j < r.shards.size() && r.code == kOk; j++) {
+      const uint32_t shard = r.shards[j];
+      if (ShardNotPrimary(shard)) {
+        r.code = kNotPrimary;
+        r.error = "shard is a replication follower";
+      } else if (dbs_[shard]->IsReadOnly()) {
+        r.code = kReadOnly;
+        r.error = dbs_[shard]->BackgroundError().ToString();
+      }
+    }
+  }
+  if (!reqs[0].shards.empty()) {
+    timeline.SetShard(reqs[0].shards[0]);
+  }
+  timeline.Stage("req.route");
+
+  // Group the admitted ops by shard; `parts` records, in request order,
+  // where each request's share of the shard's batch begins.
+  struct ShardBatch {
+    std::vector<KVStore::BatchOp> ops;
+    std::vector<std::pair<size_t, size_t>> parts;  // (request, first op)
+  };
+  std::vector<ShardBatch> batches(dbs_.size());
+  for (size_t i = 0; i < count; i++) {
+    WriteRequest& r = reqs[i];
+    if (r.code != kOk) continue;
+    for (size_t j = 0; j < r.ops.size(); j++) {
+      ShardBatch& b = batches[r.shards[j]];
+      if (b.parts.empty() || b.parts.back().first != i) {
+        b.parts.emplace_back(i, b.ops.size());
+      }
+      b.ops.push_back(std::move(r.ops[j]));
+    }
+  }
+
+  // One commit per shard. `shard_seq` keeps each shard's latest commit
+  // for the ack waits below (0 = nothing committed).
+  std::vector<uint64_t> shard_seq(dbs_.size(), 0);
   for (uint32_t shard = 0; shard < dbs_.size(); shard++) {
-    std::vector<KVStore::BatchOp>& batch = shard_batches[shard];
-    if (batch.empty()) {
-      continue;
-    }
-    shard_requests_[shard]->Increment(batch.size());
-    DB* db = dbs_[shard];
-    if (ShardNotPrimary(shard)) {
-      shard_not_primary[shard] = true;
-      shard_status[shard] =
-          Status::IOError("not_primary", "shard is a replication follower");
-      continue;
-    }
-    if (db->IsReadOnly()) {
-      shard_read_only[shard] = true;
-      shard_status[shard] = db->BackgroundError();
-      continue;
-    }
-    obs::TraceScope trace(primary()->trace(), "net.write_batch");
-    trace.AddArg("ops", batch.size());
-    Status s = db->ApplyBatch(batch);
-    if (s.IsInvalidArgument() || s.IsOutOfSpace()) {
-      // The combined batch exceeded what one sub-MemTable holds (the
-      // caps are estimates); commit the run op by op instead — clients
-      // never asked for cross-request atomicity.
-      s = Status::OK();
-      for (size_t i = 0; i < batch.size() && s.ok(); i++) {
-        s = batch[i].is_delete ? db->Delete(batch[i].key)
-                               : db->Put(batch[i].key, batch[i].value);
+    ShardBatch& b = batches[shard];
+    if (b.parts.empty()) continue;
+    uint64_t seq = 0;
+    Status s = CommitShard(shard, b.ops, &seq);
+    if ((s.IsInvalidArgument() || s.IsOutOfSpace()) && b.parts.size() > 1) {
+      // A bad request, or a combined batch that outgrew a sub-MemTable
+      // (the run caps are estimates): nothing committed, so commit each
+      // request's share on its own. Clients never asked for
+      // cross-request atomicity, and one bad request must not fail the
+      // others.
+      for (size_t k = 0; k < b.parts.size(); k++) {
+        const size_t first = b.parts[k].second;
+        const size_t last =
+            k + 1 < b.parts.size() ? b.parts[k + 1].second : b.ops.size();
+        const std::vector<KVStore::BatchOp> own(b.ops.begin() + first,
+                                                b.ops.begin() + last);
+        Status own_status = CommitShard(shard, own, &seq);
+        if (own_status.ok()) shard_seq[shard] = seq;
+        reqs[b.parts[k].first].outcomes.emplace_back(shard, own_status);
       }
+      continue;
     }
     if (s.ok()) {
-      batched_writes_->Increment();
-      batched_ops_->Increment(batch.size());
-    }
-    // Invalidation precedes the response loop below, so every ack in
-    // this run is only sent after its key's cache entry is gone.
-    for (const KVStore::BatchOp& bop : batch) {
-      InvalidateCache(shard, bop.key);
-    }
-    if (s.ok() && repl_ != nullptr) {
-      Status acked = repl_->WaitCommitAcked(shard);
-      if (!acked.ok()) {
-        shard_repl_timeout[shard] = true;
-        s = acked;
+      shard_seq[shard] = seq;
+      if (count > 1) {
+        batched_writes_->Increment();
+        batched_ops_->Increment(b.ops.size());
       }
     }
-    shard_status[shard] = s;
-  }
-  const uint64_t t_committed = timing ? tracer->NowNs() : 0;
-  for (size_t i = begin; i < end; i++) {
-    const uint32_t shard = op_shards[i - begin];
-    // Every request of the run reports the run's service time so far:
-    // a batched write's latency is the batch's latency.
-    TraceContext tc;
-    if (frames[i].traced) {
-      traced_requests_->Increment();
-      tc.traced = true;
-      tc.trace_id = frames[i].trace_id;
-      tc.server_ns = t_committed - t_start;
-    }
-    if (shard_not_primary[shard]) {
-      EncodeErrorResponse(&conn->out, frames[i].op, frames[i].request_id,
-                          kNotPrimary, shard_status[shard].ToString(), tc);
-    } else if (shard_repl_timeout[shard]) {
-      EncodeErrorResponse(&conn->out, frames[i].op, frames[i].request_id,
-                          kReplTimeout, shard_status[shard].ToString(),
-                          tc);
-    } else if (shard_read_only[shard]) {
-      EncodeErrorResponse(&conn->out, frames[i].op, frames[i].request_id,
-                          kReadOnly, shard_status[shard].ToString(), tc);
-    } else {
-      AppendWriteResponse(conn, dbs_[shard], frames[i].op,
-                          frames[i].request_id, shard_status[shard], tc);
+    for (const auto& part : b.parts) {
+      reqs[part.first].outcomes.emplace_back(shard, s);
     }
   }
-  if (timing) {
-    const uint64_t t_done = tracer->NowNs();
-    if (tracer->enabled()) {
-      // Stage spans for every traced member of the run: the stages are
-      // shared (one parse loop, one commit loop, one encode loop), so
-      // each traced id gets the same windows under its own id.
-      for (size_t i = begin; i < end; i++) {
-        if (!frames[i].traced) continue;
-        const uint64_t id = frames[i].trace_id;
-        tracer->Complete("req.decode", t_start, t_parsed - t_start,
-                         "trace", id);
-        tracer->Complete("req.db", t_parsed, t_committed - t_parsed,
-                         "trace", id);
-        tracer->Complete("req.encode", t_committed, t_done - t_committed,
-                         "trace", id);
-        tracer->Complete(OpTraceName(frames[i].op), t_start,
-                         t_done - t_start, "trace", id, "batched",
-                         total_ops);
-      }
+
+  // Ack waits start only once every shard has committed, so a lagging
+  // shard can never keep a later shard's writes from committing.
+  std::vector<Status> acked(dbs_.size());
+  for (uint32_t shard = 0; repl_ != nullptr && shard < dbs_.size();
+       shard++) {
+    if (shard_seq[shard] != 0) {
+      acked[shard] = repl_->WaitCommitAcked(shard, shard_seq[shard]);
     }
-    const uint64_t slow_ns =
-        slow_log_ != nullptr
-            ? static_cast<uint64_t>(options_.slow_request_us) * 1000
-            : 0;
-    if (slow_ns > 0 && t_done - t_start >= slow_ns) {
-      // One entry for the whole run (op "batch"): the run is the unit
-      // of service here.
-      obs::SlowLogEntry entry;
-      entry.ts_ns = t_done;
-      entry.op = 255;
-      entry.shard = op_shards[0];
-      entry.total_us = (t_done - t_start) / 1000;
-      entry.queue_depth = queue_depth;
-      entry.SetKey(first_key.data(), first_key.size());
-      for (size_t i = begin; i < end; i++) {
-        if (frames[i].traced) {
-          entry.trace_id = frames[i].trace_id;
-          break;
+  }
+  timeline.Stage("req.db");
+
+  // Each request answers with the worst outcome among its own shards: a
+  // failed commit outranks an under-replicated one (REPL_TIMEOUT), which
+  // outranks OK. A partial commit names the shards that committed.
+  for (size_t i = 0; i < count; i++) {
+    const WriteRequest& r = reqs[i];
+    uint16_t code = r.code;
+    std::string message = r.error;
+    std::string committed;
+    for (const auto& [shard, s] : r.outcomes) {
+      if (s.ok()) {
+        committed += (committed.empty() ? "" : ",") + std::to_string(shard);
+        if (!acked[shard].ok() && code == kOk) {
+          code = kReplTimeout;
+          message = acked[shard].ToString();
         }
-      }
-      entry.AddStage("req.decode", (t_parsed - t_start) / 1000);
-      entry.AddStage("req.db", (t_committed - t_parsed) / 1000);
-      entry.AddStage("req.encode", (t_done - t_committed) / 1000);
-      slow_log_->Record(entry);
-      slowlog_captured_->Increment();
-      if (slow_log_->Captured() > slow_log_->capacity()) {
-        slowlog_dropped_->Increment();
+      } else if (code == kOk || code == kReplTimeout) {
+        // A write refused because of background degradation surfaces as
+        // kReadOnly so clients can tell it from an ordinary IO error.
+        code = dbs_[shard]->IsReadOnly() ? static_cast<uint16_t>(kReadOnly)
+                                         : WireCodeOf(s);
+        message = s.ToString();
       }
     }
+    const TraceContext tc = timeline.ResponseContext(i);
+    if (code == kOk) {
+      EncodeOkResponse(&conn->out, run[i].op, run[i].request_id, Slice(),
+                       tc);
+      continue;
+    }
+    if (r.outcomes.size() > 1 && !committed.empty()) {
+      message += "; committed on shards " + committed;
+    }
+    EncodeErrorResponse(&conn->out, run[i].op, run[i].request_id, code,
+                        message, tc);
   }
+  timeline.Stage("req.encode");
   return end;
 }
 
@@ -1302,7 +1316,7 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
   const uint64_t id = frame.request_id;
   obs::SpanTimer span(primary()->metrics(), OpHistogramName(op));
   obs::TraceScope trace(primary()->trace(), OpTraceName(op));
-  RequestTimeline timeline(this, frame, queue_depth);
+  RequestTimeline timeline(this, &frame, 1, queue_depth);
   if (frame.traced) {
     traced_requests_->Increment();
     trace.AddArg("trace", frame.trace_id);
@@ -1321,26 +1335,11 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
     timeline.Stage("req.encode");
   };
 
-  if (frame.response) {
-    // A client must never send response frames; treat as decode error.
-    decode_errors_->Increment();
-    respond_error(kDecodeError, "response frame sent to server");
+  std::string rejection;
+  const uint16_t rejected = Admit(frame, &rejection);
+  if (rejected != kOk) {
+    respond_error(rejected, rejection);
     return;
-  }
-  if (frame.at_snapshot && op != Op::kGet && op != Op::kScan) {
-    respond_error(kInvalidArgument,
-                  "at-snapshot flag on a non-read request");
-    return;
-  }
-  if (fault::AnyActive()) {
-    // An armed delay action here lands inside the req.decode stage
-    // window, so the slow log attributes it to decode.
-    Status injected = fault::Inject("net.decode");
-    if (!injected.ok()) {
-      decode_errors_->Increment();
-      respond_error(kDecodeError, injected.ToString());
-      return;
-    }
   }
 
   switch (op) {
@@ -1415,176 +1414,10 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
       }
       return;
     }
-    case Op::kPut: {
-      PutRequest req;
-      Status s = ParsePutRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      timeline.SetKey(req.key);
-      timeline.Stage("req.decode");
-      uint32_t shard = 0;
-      DB* db = Route(req.key, &shard);
-      timeline.SetShard(shard);
-      timeline.Stage("req.route");
-      if (ShardNotPrimary(shard)) {
-        respond_error(kNotPrimary, "shard is a replication follower");
-        return;
-      }
-      if (RejectIfReadOnly(conn, db, op, id,
-                           timeline.ResponseContext())) {
-        return;
-      }
-      Status ws = db->Put(req.key, req.value);
-      InvalidateCache(shard, req.key);
-      if (ws.ok() && repl_ != nullptr) {
-        Status acked = repl_->WaitCommitAcked(shard);
-        if (!acked.ok()) {
-          // Committed locally but under-replicated within the ack
-          // window; the client must treat the write as unacked.
-          timeline.Stage("req.db");
-          respond_error(kReplTimeout, acked.ToString());
-          return;
-        }
-      }
-      timeline.Stage("req.db");
-      AppendWriteResponse(conn, db, op, id, ws,
-                          timeline.ResponseContext());
-      timeline.Stage("req.encode");
-      return;
-    }
-    case Op::kDelete: {
-      DeleteRequest req;
-      Status s = ParseDeleteRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      timeline.SetKey(req.key);
-      timeline.Stage("req.decode");
-      uint32_t shard = 0;
-      DB* db = Route(req.key, &shard);
-      timeline.SetShard(shard);
-      timeline.Stage("req.route");
-      if (ShardNotPrimary(shard)) {
-        respond_error(kNotPrimary, "shard is a replication follower");
-        return;
-      }
-      if (RejectIfReadOnly(conn, db, op, id,
-                           timeline.ResponseContext())) {
-        return;
-      }
-      Status ws = db->Delete(req.key);
-      InvalidateCache(shard, req.key);
-      if (ws.ok() && repl_ != nullptr) {
-        Status acked = repl_->WaitCommitAcked(shard);
-        if (!acked.ok()) {
-          timeline.Stage("req.db");
-          respond_error(kReplTimeout, acked.ToString());
-          return;
-        }
-      }
-      timeline.Stage("req.db");
-      AppendWriteResponse(conn, db, op, id, ws,
-                          timeline.ResponseContext());
-      timeline.Stage("req.encode");
-      return;
-    }
-    case Op::kMultiPut: {
-      MultiPutRequest req;
-      Status s = ParseMultiPutRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      trace.AddArg("keys", req.ops.size());
-      if (!req.ops.empty()) {
-        timeline.SetKey(req.ops[0].key);
-      }
-      timeline.Stage("req.decode");
-      if (dbs_.size() == 1) {
-        shard_requests_[0]->Increment(req.ops.size());
-        if (ShardNotPrimary(0)) {
-          respond_error(kNotPrimary, "shard is a replication follower");
-          return;
-        }
-        if (RejectIfReadOnly(conn, primary(), op, id,
-                             timeline.ResponseContext())) {
-          return;
-        }
-        Status ws = primary()->ApplyBatch(req.ops);
-        for (const KVStore::BatchOp& bop : req.ops) {
-          InvalidateCache(0, bop.key);
-        }
-        if (ws.ok() && repl_ != nullptr) {
-          Status acked = repl_->WaitCommitAcked(0);
-          if (!acked.ok()) {
-            timeline.Stage("req.db");
-            respond_error(kReplTimeout, acked.ToString());
-            return;
-          }
-        }
-        timeline.Stage("req.db");
-        AppendWriteResponse(conn, primary(), op, id, ws,
-                            timeline.ResponseContext());
-        timeline.Stage("req.encode");
-        return;
-      }
-      // Split per shard: the batch stays atomic within each shard but
-      // not across shards (docs/SERVER.md). All touched shards are
-      // checked for degradation before anything commits.
-      std::vector<std::vector<KVStore::BatchOp>> split(dbs_.size());
-      for (KVStore::BatchOp& bop : req.ops) {
-        split[router_.ShardOf(bop.key)].push_back(std::move(bop));
-      }
-      for (uint32_t shard = 0; shard < dbs_.size(); shard++) {
-        if (split[shard].empty()) continue;
-        shard_requests_[shard]->Increment(split[shard].size());
-        if (ShardNotPrimary(shard)) {
-          respond_error(kNotPrimary, "shard is a replication follower");
-          return;
-        }
-        if (RejectIfReadOnly(conn, dbs_[shard], op, id,
-                             timeline.ResponseContext())) {
-          return;
-        }
-      }
-      timeline.Stage("req.route");
-      Status first_error;
-      DB* failed_db = nullptr;
-      for (uint32_t shard = 0; shard < dbs_.size(); shard++) {
-        if (split[shard].empty()) continue;
-        Status st = dbs_[shard]->ApplyBatch(split[shard]);
-        for (const KVStore::BatchOp& bop : split[shard]) {
-          InvalidateCache(shard, bop.key);
-        }
-        if (st.ok() && repl_ != nullptr) {
-          Status acked = repl_->WaitCommitAcked(shard);
-          if (!acked.ok()) {
-            timeline.Stage("req.db");
-            respond_error(kReplTimeout, acked.ToString());
-            return;
-          }
-        }
-        if (!st.ok() && first_error.ok()) {
-          first_error = st;
-          failed_db = dbs_[shard];
-        }
-      }
-      timeline.Stage("req.db");
-      if (first_error.ok()) {
-        respond_ok(Slice());
-      } else {
-        AppendWriteResponse(conn, failed_db, op, id, first_error,
-                            timeline.ResponseContext());
-        timeline.Stage("req.encode");
-      }
-      return;
-    }
+    case Op::kPut:
+    case Op::kDelete:
+    case Op::kMultiPut:
+      break;  // ProcessFrames hands every write to HandleWrites
     case Op::kScan: {
       ScanRequest req;
       Status s = ParseScanRequest(frame.payload, &req);

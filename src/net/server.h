@@ -41,11 +41,6 @@ struct ServerOptions {
   size_t max_frame_bytes = kDefaultMaxFrameBody;
   /// Server-side cap on one SCAN response.
   uint32_t max_scan_limit = 65536;
-  /// Caps on batching consecutive pipelined PUT/DEL requests into one
-  /// DB::ApplyBatch commit. max_batch_bytes == 0 derives the bound from
-  /// DB::ApproxMultiPutCapacityBytes().
-  size_t max_batch_ops = 64;
-  size_t max_batch_bytes = 0;
   /// Backpressure: when a connection's outbound buffer holds more than
   /// this many unsent bytes (after trying the socket once), further
   /// requests on it are shed with a Busy response instead of buffering
@@ -104,9 +99,10 @@ struct ServerOptions {
 /// worker threads each run an event loop (epoll on Linux, poll(2)
 /// elsewhere) over the connections assigned to them round-robin.
 /// Requests on a connection may be pipelined; responses are sent in
-/// request order. Runs of consecutive single-key PUT/DEL requests are
-/// committed as one atomic DB::ApplyBatch per shard (bounded by the
-/// batch caps above) and acknowledged individually.
+/// request order. Every write takes one path (HandleWrites): a MULTIPUT,
+/// or a run of consecutive single-key PUT/DEL requests, is grouped by
+/// shard, committed as one atomic DB::ApplyBatch per shard, and then
+/// acknowledged request by request.
 ///
 /// Integration: counters and per-op latency histograms go to the
 /// primary DB's MetricsRegistry under "net.*" (so STATS serves one
@@ -129,10 +125,10 @@ struct ServerOptions {
 /// Hot-key cache: with hot_key_cache_bytes > 0 each shard owns a
 /// read-through HotKeyCache (src/cache/hot_key_cache.h) consulted by
 /// GET before DB::Get; its cache.* instruments live in that shard's
-/// registry, so STATS reports per-shard hit ratios. Every write path
-/// (PUT, DEL, MULTIPUT, the pipelined write-run batcher) invalidates
-/// the touched keys after the DB commit and before the response is
-/// appended — the ordering the cache's coherence protocol requires.
+/// registry, so STATS reports per-shard hit ratios. The write path
+/// (CommitShard) invalidates the touched keys after the DB commit and
+/// before the response is appended — the ordering the cache's
+/// coherence protocol requires.
 ///
 /// Snapshot plane (docs/SNAPSHOTS.md): SNAPSHOT pins every shard with
 /// DB::GetSnapshot and registers the handle vector under a server-issued
@@ -210,29 +206,32 @@ class Server {
   /// True when a classified connection sits on the wrong worker (repl
   /// conn off the repl worker, client conn on it) and must migrate.
   bool Misplaced(Worker* worker, Conn* conn) const;
-  /// Handles frames[begin..end) where [begin, end) is a maximal run of
-  /// single-key PUT/DEL requests: one ApplyBatch commit per touched
-  /// shard, one response per request. Returns the first unconsumed
-  /// index. `queue_depth` is the number of frames decoded behind
+  /// The one write path. Handles the run starting at frames[begin]: a
+  /// MULTIPUT alone, or consecutive PUT/DEL requests up to the run caps.
+  /// Parses every request, groups the ops by shard, commits each shard
+  /// once (CommitShard), waits for replication acks only after every
+  /// shard has committed, and answers each request with the worst
+  /// outcome among its own shards. Returns the first unconsumed index.
+  /// `queue_depth` is the number of frames decoded behind
   /// frames[begin] in its round.
-  size_t HandleWriteRun(Conn* conn, const std::vector<Frame>& frames,
-                        size_t begin, uint32_t queue_depth);
+  size_t HandleWrites(Conn* conn, const std::vector<Frame>& frames,
+                      size_t begin, uint32_t queue_depth);
+  /// Commits `ops` to `shard` with one DB::ApplyBatch, then invalidates
+  /// their keys in the shard's hot-key cache (after the commit, before
+  /// any ack). On success *seq receives the commit's last sequence.
+  Status CommitShard(uint32_t shard,
+                     const std::vector<KVStore::BatchOp>& ops,
+                     uint64_t* seq);
   void HandleRequest(Conn* conn, const Frame& frame,
                      uint32_t queue_depth);
-  /// Appends the response for a completed write `s` against `db`
-  /// (shared by the single-op and batched paths).
-  void AppendWriteResponse(Conn* conn, DB* db, Op op, uint64_t id,
-                           const Status& s,
-                           const TraceContext& tc = TraceContext());
-  /// Rejects a write when `db` is read-only; true when rejected.
-  bool RejectIfReadOnly(Conn* conn, DB* db, Op op, uint64_t id,
-                        const TraceContext& tc = TraceContext());
+  /// The checks every request passes before its op runs: no response
+  /// frames, the at-snapshot flag only on reads, and the net.decode
+  /// fail point. Returns kOk, or the wire code to answer with and the
+  /// message in *error.
+  uint16_t Admit(const Frame& frame, std::string* error);
   /// The METRICSPROM payload: the Prometheus exposition over every
   /// shard's registry snapshot (per-shard labels).
   void BuildPromPayload(std::string* out);
-  /// Invalidates `key` in `shard`'s hot-key cache (no-op when caching
-  /// is disabled). Must run after the DB commit, before the ack.
-  void InvalidateCache(uint32_t shard, const Slice& key);
   /// Backpressure: true when the connection's outbound backlog exceeds
   /// the cap even after offering it to the socket once — the request
   /// was answered with Busy and must not execute.
@@ -274,6 +273,8 @@ class Server {
   uint64_t next_snapshot_id_ = 1;
   std::condition_variable snapshot_sweeper_cv_;
   std::thread snapshot_sweeper_;
+  /// Byte cap on one write run: every op of a run could land on one
+  /// shard, so it is the smallest shard's ApproxMultiPutCapacityBytes().
   size_t batch_bytes_cap_ = 0;
   /// SHARDMAP response payload, finalized at Start() (endpoints carry
   /// the bound address).

@@ -168,7 +168,7 @@ void ReplHub::OnCommit(uint32_t shard,
       ->Set(static_cast<double>(head));
 }
 
-Status ReplHub::WaitCommitAcked(uint32_t shard) {
+Status ReplHub::WaitCommitAcked(uint32_t shard, uint64_t db_seq) {
   uint32_t needed = 0;
   const uint32_t replicas =
       static_cast<uint32_t>(options_.replicas.size());
@@ -179,12 +179,9 @@ Status ReplHub::WaitCommitAcked(uint32_t shard) {
   }
   if (needed == 0) return Status::OK();
   Shard* st = shards_[shard].get();
-  // Wait on the caller's own write, not the log head: the server worker
-  // calls this right after its commit, so the thread-local commit seq
-  // names the exact record whose replication the client is owed.
-  // Waiting on the head would let concurrent later writes extend the
-  // wait past the timeout.
-  const uint64_t db_seq = DB::ThreadLastCommitSeq();
+  // Wait on the caller's own write, not the log head: waiting on the
+  // head would let concurrent later writes extend the wait past the
+  // timeout.
   Status s = db_seq != 0
                  ? st->log->WaitCommit(db_seq, needed,
                                        options_.ack_timeout_ms)

@@ -110,14 +110,15 @@ class ReplHub {
   void OnCommit(uint32_t shard, const std::vector<KVStore::BatchOp>& ops,
                 uint64_t last_db_seq);
 
-  /// Blocks until the calling thread's own just-committed write (its
-  /// DB::ThreadLastCommitSeq record) satisfies the ack policy — NOT
-  /// the log head, so concurrent later writes never extend the wait.
-  /// OK when satisfied (immediately under kNone or with no replicas);
-  /// Busy after ack_timeout_ms (the server answers kReplTimeout: the
-  /// write is committed locally but under-replicated); IOError when a
-  /// concurrent promotion reset the log mid-wait.
-  Status WaitCommitAcked(uint32_t shard);
+  /// Blocks until the log record covering DB sequence `db_seq` (the
+  /// caller's own commit, as DB::MultiPut reports it) satisfies the ack
+  /// policy — NOT the log head, so concurrent later writes never extend
+  /// the wait. `db_seq` == 0 waits on the log head instead. OK when
+  /// satisfied (immediately under kNone or with no replicas); Busy
+  /// after ack_timeout_ms (the server answers kReplTimeout: the write is
+  /// committed locally but under-replicated); IOError when a concurrent
+  /// promotion reset the log mid-wait.
+  Status WaitCommitAcked(uint32_t shard, uint64_t db_seq = 0);
 
   // Wire-op handlers (see src/net/server.cc). Each returns the wire
   // code; on net::kOk `*payload` holds the response payload, otherwise

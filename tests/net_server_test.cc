@@ -234,6 +234,32 @@ TEST_F(NetServerTest, PipelinedWritesAreBatchedAndAcknowledged) {
   EXPECT_TRUE(results[3].status.IsNotFound());
 }
 
+// One bad request in a pipelined write run fails alone: the run's
+// combined commit is rejected (empty key), so each request commits its
+// own ops and gets its own status.
+TEST_F(NetServerTest, WriteRunFallbackAnswersEachRequestOnItsOwn) {
+  StartServer();
+  net::Client client;
+  MakeClient(&client);
+
+  client.SubmitPut("a", "value-a");
+  client.SubmitPut("", "value-empty");
+  client.SubmitPut("c", "value-c");
+  std::vector<net::Client::Result> results;
+  ASSERT_TRUE(client.WaitAll(&results).ok());
+  ASSERT_EQ(3u, results.size());
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_EQ(net::kInvalidArgument, results[1].wire_code)
+      << results[1].status.ToString();
+  EXPECT_TRUE(results[2].status.ok()) << results[2].status.ToString();
+
+  std::string got;
+  ASSERT_TRUE(client.Get("a", &got).ok());
+  EXPECT_EQ("value-a", got);
+  ASSERT_TRUE(client.Get("c", &got).ok());
+  EXPECT_EQ("value-c", got);
+}
+
 TEST_F(NetServerTest, StatsServesTheRegistryDump) {
   StartServer();
   net::Client client;

@@ -25,6 +25,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "net/shard_router.h"
 #include "pmem/pmem_env.h"
 #include "repl/repl_log.h"
 #include "repl/replication.h"
@@ -327,13 +328,14 @@ TEST_F(ReplicationTest, CommitHooksFireInSequenceOrderAcrossWriters) {
           std::vector<KVStore::BatchOp> batch;
           batch.push_back({false, key + "-a", "v"});
           batch.push_back({false, key + "-b", "v"});
-          ASSERT_TRUE(db->MultiPut(batch).ok());
+          // The commit reports the batch's last sequence: the second
+          // record of a block that starts at 1 or later.
+          SequenceNumber seq = 0;
+          ASSERT_TRUE(db->MultiPut(batch, &seq).ok());
+          ASSERT_GE(seq, 2u);
         } else {
           ASSERT_TRUE(db->Put(key, "v").ok());
         }
-        // The caller's own commit seq is visible to this thread and
-        // never behind what its write was assigned.
-        ASSERT_GE(DB::ThreadLastCommitSeq(), 1u);
       }
     });
   }
@@ -520,6 +522,96 @@ TEST_F(ReplicationTest, FollowerCatchesUpAndPromoteFencesOldPrimary) {
   EXPECT_TRUE(fclient.Get(Key(0), &gone).IsNotFound());
   // And it accepts writes under its new reign.
   EXPECT_TRUE(fclient.Put("post-promotion", "y").ok());
+}
+
+// A MULTIPUT split across shards commits on every shard before any ack
+// wait: a lagging first shard must not keep the second from committing,
+// and the reply must say the write committed on both.
+TEST_F(ReplicationTest, SplitMultiPutCommitsEveryShardBeforeAckTimeout) {
+  constexpr uint32_t kShards = 2;
+  CacheKVOptions dbopts = TestDb();
+  std::vector<std::unique_ptr<PmemEnv>> envs;
+  std::vector<std::unique_ptr<DB>> dbs;
+  std::vector<DB*> ptrs;
+  for (uint32_t i = 0; i < kShards; i++) {
+    envs.push_back(std::make_unique<PmemEnv>(TestEnv(dbopts.pool_bytes)));
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(envs.back().get(), dbopts, false, &db).ok());
+    ptrs.push_back(db.get());
+    dbs.push_back(std::move(db));
+  }
+  repl::ReplOptions popts;
+  popts.ack = repl::AckPolicy::kAll;
+  popts.ack_timeout_ms = 100;
+  // A replica endpoint nothing listens on: no ack ever arrives.
+  popts.replicas = {"127.0.0.1:" + std::to_string(PickPort())};
+  repl::ReplHub hub(popts, ptrs);
+  hub.AttachCommitHooks();
+  net::ShardMap map;
+  map.num_shards = kShards;
+  net::ShardRouter router;
+  ASSERT_TRUE(net::ShardRouter::Build(map, &router).ok());
+  net::ServerOptions sopts;
+  sopts.repl = &hub;
+  net::Server server(ptrs, router, sopts);
+  ASSERT_TRUE(server.Start().ok());
+  hub.SetSelfEndpoint("127.0.0.1:" + std::to_string(server.port()));
+  hub.Start();
+
+  std::string keys[kShards];
+  for (int i = 0; keys[0].empty() || keys[1].empty(); i++) {
+    const std::string key = "split-" + std::to_string(i);
+    keys[router.ShardOf(key)] = key;
+  }
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  Status s = client.MultiPut(
+      {{false, keys[0], "value-0"}, {false, keys[1], "value-1"}});
+  EXPECT_TRUE(s.IsBusy()) << s.ToString();
+  EXPECT_EQ(net::kReplTimeout, client.last_wire_code());
+  EXPECT_NE(std::string::npos, s.ToString().find("committed on shards 0,1"))
+      << s.ToString();
+  for (uint32_t shard = 0; shard < kShards; shard++) {
+    std::string got;
+    ASSERT_TRUE(client.Get(keys[shard], &got).ok()) << "shard " << shard;
+    EXPECT_EQ("value-" + std::to_string(shard), got);
+  }
+
+  client.Close();
+  server.Stop();
+  hub.Stop();
+  for (DB* db : ptrs) db->WaitIdle();
+}
+
+// The empty-key rule holds on every write path: a primary refuses
+// PUT "" instead of acking it and shipping an op its follower can never
+// apply, which would wedge the shard's replication for good.
+TEST_F(ReplicationTest, EmptyKeyPutIsRejectedAndReplicationKeepsFlowing) {
+  const uint16_t follower_port = PickPort();
+  Node primary;
+  repl::ReplOptions popts;
+  popts.ack = repl::AckPolicy::kQuorum;
+  popts.ack_timeout_ms = 5000;
+  popts.replicas = {"127.0.0.1:" + std::to_string(follower_port)};
+  primary.Start(popts, 0);
+
+  Node follower;
+  repl::ReplOptions fopts;
+  fopts.primary_endpoint = primary.endpoint;
+  follower.Start(fopts, follower_port);
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", primary.server->port()).ok());
+  ASSERT_TRUE(PutAcked(&client, "before", "1").ok());
+  Status s = client.Put("", "x");
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(net::kInvalidArgument, client.last_wire_code());
+
+  // Quorum acks still arrive for the next write on the same shard.
+  ASSERT_TRUE(PutAcked(&client, "after", "2").ok());
+  std::string got;
+  ASSERT_TRUE(follower.db->Get("after", &got).ok());
+  EXPECT_EQ("2", got);
 }
 
 TEST_F(ReplicationTest, SnapshotBootstrapAfterLogTruncation) {

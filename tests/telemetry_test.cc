@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -269,6 +270,80 @@ TEST_F(TelemetryTest, DelayedRequestLandsInSlowLogWithGuiltyStage) {
 
   EXPECT_GE(db_->CounterValue("net.slowlog.captured"), 1u);
   EXPECT_GE(db_->CounterValue("net.slowlog.queries"), 2u);
+}
+
+// A pipelined write run is timed as one unit: every traced member gets
+// the run's stage spans under its own trace id, and the slow log holds
+// one "batch" entry for the run — next to the MULTIPUT's own entry.
+TEST_F(TelemetryTest, WriteRunStagesReachEveryTracedMember) {
+  net::ServerOptions srv;
+  srv.slow_request_us = 1;  // capture everything
+  StartServer(srv);
+  obs::Tracer client_tracer;
+  client_tracer.set_enabled(true);
+  net::ClientOptions copts;
+  copts.trace_sample_every = 1;
+  copts.trace_seed = 3;
+  copts.tracer = &client_tracer;
+  net::Client client(copts);
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+
+  for (int i = 0; i < 3; i++) {
+    client.SubmitPut("run" + std::to_string(i), "v");
+  }
+  std::vector<net::Client::Result> results;
+  ASSERT_TRUE(client.WaitAll(&results).ok());
+  ASSERT_EQ(3u, results.size());
+  std::vector<uint64_t> ids;
+  for (const auto& r : results) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_TRUE(r.traced);
+    ids.push_back(r.trace_id);
+  }
+  ASSERT_TRUE(client.MultiPut({{false, "mp-a", "1"}, {false, "mp-b", "2"}})
+                  .ok());
+
+  std::string json;
+  ASSERT_TRUE(client.SlowLog(0, &json).ok());
+  JsonValue doc;
+  ASSERT_TRUE(JsonValue::Parse(json, &doc).ok());
+  ASSERT_TRUE(doc.is_array());
+  int batches = 0;
+  int multiputs = 0;
+  for (const JsonValue& entry : doc.items()) {
+    ASSERT_NE(nullptr, entry.Get("op"));
+    const std::string op = entry.Get("op")->str();
+    if (op == "batch") {
+      batches++;
+      const JsonValue* stages = entry.Get("stages");
+      ASSERT_NE(nullptr, stages) << json;
+      EXPECT_NE(nullptr, stages->Get("req.decode")) << json;
+      EXPECT_NE(nullptr, stages->Get("req.db")) << json;
+      EXPECT_NE(nullptr, stages->Get("req.encode")) << json;
+      EXPECT_EQ("run0", entry.Get("key")->str());
+    } else if (op == "multiput") {
+      multiputs++;
+    } else {
+      ADD_FAILURE() << "unexpected slow-log entry " << op << ": " << json;
+    }
+  }
+  EXPECT_EQ(1, batches) << json;
+  EXPECT_EQ(1, multiputs) << json;
+  client.Close();
+  server_->Stop();
+
+  std::string server_json;
+  db_->DumpTrace(&server_json);
+  JsonValue server_events;
+  ASSERT_TRUE(JsonValue::Parse(server_json, &server_events).ok());
+  for (uint64_t id : ids) {
+    const std::vector<std::string> spans =
+        SpanNamesForTrace(server_events, id);
+    for (const char* stage : {"req.decode", "req.db", "req.encode"}) {
+      EXPECT_EQ(1, std::count(spans.begin(), spans.end(), stage))
+          << "trace id " << id << " stage " << stage;
+    }
+  }
 }
 
 TEST_F(TelemetryTest, SlowLogDisabledAnswersEmptyArray) {
