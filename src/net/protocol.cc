@@ -266,19 +266,6 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out) {
   return Result::kFrame;
 }
 
-bool FrameDecoder::PeekOp(Op* op) const {
-  if (failed_) return false;
-  const size_t avail = buf_.size() - pos_;
-  if (avail < 6) return false;  // length + opcode + flags not in yet
-  const char* base = buf_.data() + pos_;
-  const uint32_t body_len = DecodeFixed32(base);
-  if (body_len < kFrameFixedBody || body_len > max_frame_body_) return false;
-  const uint8_t raw_op = static_cast<uint8_t>(base[4]);
-  if (!ValidOp(raw_op)) return false;
-  *op = static_cast<Op>(raw_op);
-  return true;
-}
-
 // Request encoders. ---------------------------------------------------
 
 void EncodeGetRequest(std::string* out, uint64_t id, const Slice& key,

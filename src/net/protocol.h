@@ -262,14 +262,6 @@ class FrameDecoder {
   /// every later call returns kError too.
   Result Next(Frame* out);
 
-  /// Non-consuming look at the next frame's opcode: true once the
-  /// frame header (length + opcode + flags) is buffered and
-  /// well-formed, even if the body is still in flight. Malformed input
-  /// returns false and is left for Next to latch. Lets the server
-  /// decide which worker should own a connection before any frame is
-  /// consumed (docs/REPLICATION.md "Threading").
-  bool PeekOp(Op* op) const;
-
   const std::string& error() const { return error_; }
   size_t buffered() const { return buf_.size() - pos_; }
 

@@ -13,6 +13,7 @@
 #define CACHEKV_NET_EPOLL 1
 #endif
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <chrono>
@@ -248,29 +249,84 @@ struct Server::SnapshotEntry {
   std::chrono::steady_clock::time_point deadline;
 };
 
+/// One write run from decode to response: the requests' outcomes, the
+/// run's span, trace scope and timeline, and — when follower acks are
+/// needed — one ack wait per committed shard. Inline runs live on the
+/// stack and read their frames in place. A run that waits for acks
+/// lives on the heap, owned by its parked connection, and keeps header
+/// copies of its frames (request ids and trace contexts); their
+/// payloads, which point into the decoder, are cleared once committed.
+struct Server::WriteRun {
+  WriteRun(Server* server, const Frame* run, size_t n,
+           uint32_t queue_depth, bool parkable)
+      : copies(parkable ? std::vector<Frame>(run, run + n)
+                        : std::vector<Frame>()),
+        frames(parkable ? copies.data() : run),
+        count(n),
+        span(server->primary()->metrics(), OpHistogramName(run[0].op)),
+        trace(server->primary()->trace(), OpTraceName(run[0].op)),
+        timeline(server, frames, n, queue_depth),
+        reqs(n) {}
+
+  WriteRun(const WriteRun&) = delete;
+  WriteRun& operator=(const WriteRun&) = delete;
+
+  /// One request of the run: its ops, each op's shard, and the commit
+  /// outcome per touched shard. A nonzero `code` rejects the request
+  /// before any of its ops commit.
+  struct Request {
+    std::vector<KVStore::BatchOp> ops;
+    std::vector<uint32_t> shards;
+    uint16_t code = kOk;
+    std::string error;
+    std::vector<std::pair<uint32_t, Status>> outcomes;
+  };
+
+  std::vector<Frame> copies;  // parkable runs only
+  const Frame* frames;
+  size_t count;
+  obs::SpanTimer span;
+  obs::TraceScope trace;
+  RequestTimeline timeline;
+  std::vector<Request> reqs;
+  /// Each shard's latest commit in this run (0 = nothing committed).
+  std::vector<uint64_t> shard_seq;
+  /// One per committed shard while follower acks are needed.
+  std::vector<repl::ReplHub::CommitWait> acks;
+};
+
 /// One TCP connection; owned by exactly one worker thread.
 struct Server::Conn {
   explicit Conn(int fd_in, size_t max_frame)
       : fd(fd_in), decoder(max_frame) {}
 
+  bool parked() const { return parked_run != nullptr || fetch_held; }
+
   int fd;
   FrameDecoder decoder;
   std::string out;
   size_t out_pos = 0;
-  /// The poller currently watches for writability (out backlog).
+  /// What the poller watches (UpdateInterest).
+  bool want_read = true;
   bool want_write = false;
-  /// With replication on, every fresh connection starts on the repl
-  /// worker and is classified by its first frame's opcode before any
-  /// frame is handled: repl streams stay, everything else migrates to
-  /// a client worker. The repl worker never blocks in WaitCommitAcked,
-  /// so a follower's subscribe is answered promptly even when every
-  /// client worker is wedged waiting for that follower's acks
-  /// (docs/REPLICATION.md "Threading").
-  bool classified = false;
-  /// The connection speaks the repl stream ops and belongs on the repl
-  /// worker. Also flipped mid-stream when a classified client
-  /// connection later sends a repl op.
-  bool is_repl = false;
+  /// Frames pulled from `decoder` in the current round, handled up to
+  /// `next_frame`; those from `unsent_from` on have no response flushed
+  /// yet. Frames outlive a round only while the connection is parked,
+  /// and their payloads point into the decoder's buffer, so nothing is
+  /// fed to the decoder until they are all handled.
+  std::vector<Frame> frames;
+  size_t next_frame = 0;
+  size_t unsent_from = 0;
+  /// Follower id of the connection's last REPLSUBSCRIBE: its REPLBATCHes
+  /// may be held (ReplHub::MayHoldFetch).
+  std::string follower_id;
+  /// Parked on a write run waiting for follower acks, or on a held
+  /// REPLBATCH: frames[next_frame], parsed into `fetch`.
+  std::unique_ptr<WriteRun> parked_run;
+  bool fetch_held = false;
+  ReplBatchRequest fetch;
+  /// When the parked run times out or the held fetch is answered anyway.
+  std::chrono::steady_clock::time_point deadline;
 };
 
 struct Server::Worker {
@@ -282,10 +338,14 @@ struct Server::Worker {
   int wake_wr = -1;
   std::mutex mu;
   std::deque<int> pending_fds;  // accepted, not yet adopted
-  /// Live connections migrated here from another worker (replication
-  /// connections moving to the repl worker), decoder/out state intact.
-  std::deque<std::unique_ptr<Conn>> pending_conns;
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
+  /// This worker's parked connections. `num_parked` mirrors their count
+  /// for the hub's log listener (WakeParked), which runs on other
+  /// threads; `wake_pending` is set while a wake byte it wrote is still
+  /// in the pipe, so a burst of log events writes one byte.
+  std::vector<Conn*> parked;
+  std::atomic<size_t> num_parked{0};
+  std::atomic<bool> wake_pending{false};
   std::thread thread;
 };
 
@@ -357,11 +417,6 @@ DB* Server::Route(const Slice& key, uint32_t* shard_out) {
     *shard_out = shard;
   }
   return dbs_[shard];
-}
-
-Server::Worker* Server::repl_worker() const {
-  if (repl_ == nullptr || workers_.empty()) return nullptr;
-  return workers_.back().get();
 }
 
 bool Server::ShardNotPrimary(uint32_t shard) const {
@@ -454,12 +509,8 @@ Status Server::Start() {
   }
   SetNonBlocking(accept_wake_[0]);
 
-  int num_workers = options_.num_workers > 0 ? options_.num_workers : 1;
-  // With replication the last worker is reserved for repl connections,
-  // so at least one other worker must exist to serve clients.
-  if (repl_ != nullptr && num_workers < 2) {
-    num_workers = 2;
-  }
+  const int num_workers =
+      options_.num_workers > 0 ? options_.num_workers : 1;
   workers_.clear();
   for (int i = 0; i < num_workers; i++) {
     auto w = std::make_unique<Worker>();
@@ -469,7 +520,10 @@ Status Server::Start() {
       s = Errno("pipe");
       break;
     }
+    // Both ends: the hub's log listener writes under the log's lock and
+    // must never block on a full pipe (a full pipe already wakes).
     SetNonBlocking(pipe_fds[0]);
+    SetNonBlocking(pipe_fds[1]);
     w->wake_rd = pipe_fds[0];
     w->wake_wr = pipe_fds[1];
 #if CACHEKV_NET_EPOLL
@@ -504,6 +558,9 @@ Status Server::Start() {
     return s;
   }
 
+  if (repl_ != nullptr) {
+    repl_->SetWaker([this] { WakeParked(); });
+  }
   running_.store(true, std::memory_order_release);
   for (auto& w : workers_) {
     w->thread = std::thread(&Server::WorkerLoop, this, w.get());
@@ -516,6 +573,12 @@ Status Server::Start() {
 void Server::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) {
     return;
+  }
+  // First, so no log listener touches a worker being torn down. Parked
+  // connections are closed with the rest; their runs never wait out
+  // the ack timeout.
+  if (repl_ != nullptr) {
+    repl_->SetWaker(nullptr);
   }
   snapshot_sweeper_cv_.notify_all();
   if (snapshot_sweeper_.joinable()) {
@@ -545,11 +608,6 @@ void Server::Stop() {
         ::close(fd);
       }
       w->pending_fds.clear();
-      for (auto& conn : w->pending_conns) {
-        ::close(conn->fd);
-        connections_->Add(-1);
-      }
-      w->pending_conns.clear();
     }
 #if CACHEKV_NET_EPOLL
     if (w->epfd >= 0) ::close(w->epfd);
@@ -655,21 +713,10 @@ void Server::AcceptLoop() {
       accepts_->Increment();
       connections_->Add(1);
       primary()->trace()->Instant("net.accept");
-      // With replication on, every fresh connection starts on the repl
-      // worker (last), which classifies it by its first frame and
-      // migrates client connections out (see Conn::classified). Client
-      // workers can block seconds at a time in WaitCommitAcked, so a
-      // follower (re)subscribing must never depend on one of them
-      // noticing the bytes.
-      Worker* w;
-      if (repl_ != nullptr) {
-        w = workers_.back().get();
-      } else {
-        w = workers_[next_worker_.fetch_add(1,
-                                            std::memory_order_relaxed) %
-                     workers_.size()]
-                .get();
-      }
+      Worker* w =
+          workers_[next_worker_.fetch_add(1, std::memory_order_relaxed) %
+                   workers_.size()]
+              .get();
       {
         std::lock_guard<std::mutex> lock(w->mu);
         w->pending_fds.push_back(fd);
@@ -683,6 +730,13 @@ void Server::CloseConn(Worker* worker, int fd) {
 #if CACHEKV_NET_EPOLL
   ::epoll_ctl(worker->epfd, EPOLL_CTL_DEL, fd, nullptr);
 #endif
+  auto it = worker->conns.find(fd);
+  if (it != worker->conns.end() && it->second->parked()) {
+    auto& parked = worker->parked;
+    auto pos = std::find(parked.begin(), parked.end(), it->second.get());
+    if (pos != parked.end()) parked.erase(pos);
+    worker->num_parked.fetch_sub(1);
+  }
   if (NetTrace())
     fprintf(stderr, "[%ld srv %d w%d] close fd=%d\n", TraceMs(), (int)port_,
             worker->index, fd);
@@ -702,9 +756,10 @@ void Server::WorkerLoop(Worker* worker) {
     // Collect the fds that are ready this round.
     std::vector<std::pair<int, uint32_t>> ready;  // fd, POLLIN|POLLOUT
     bool woke = false;
+    const int timeout_ms = PollTimeoutMs(worker);
 #if CACHEKV_NET_EPOLL
     epoll_event events[64];
-    int n = ::epoll_wait(worker->epfd, events, 64, 500);
+    int n = ::epoll_wait(worker->epfd, events, 64, timeout_ms);
     if (n < 0 && errno != EINTR) {
       break;
     }
@@ -727,11 +782,12 @@ void Server::WorkerLoop(Worker* worker) {
     fds.reserve(worker->conns.size() + 1);
     fds.push_back({worker->wake_rd, POLLIN, 0});
     for (const auto& [fd, conn] : worker->conns) {
-      short ev = POLLIN;
+      short ev = 0;
+      if (conn->want_read) ev |= POLLIN;
       if (conn->want_write) ev |= POLLOUT;
       fds.push_back({fd, ev, 0});
     }
-    int n = ::poll(fds.data(), fds.size(), 500);
+    int n = ::poll(fds.data(), fds.size(), timeout_ms);
     if (n < 0 && errno != EINTR) {
       break;
     }
@@ -748,7 +804,11 @@ void Server::WorkerLoop(Worker* worker) {
     }
 #endif
     if (woke) {
+      // Drain, then clear: cleared first, a wake byte written in between
+      // would be drained with `wake_pending` left set, and every later
+      // log event would skip writing one.
       DrainPipe(worker->wake_rd);
+      worker->wake_pending.store(false);
       // Adopt connections handed over by the acceptor.
       std::deque<int> adopted;
       {
@@ -766,41 +826,6 @@ void Server::WorkerLoop(Worker* worker) {
         ::epoll_ctl(worker->epfd, EPOLL_CTL_ADD, fd, &ev);
 #endif
       }
-      // Adopt live connections migrated from another worker (repl
-      // conns moving here); their decoder/out state came along.
-      std::deque<std::unique_ptr<Conn>> migrated;
-      {
-        std::lock_guard<std::mutex> lock(worker->mu);
-        migrated.swap(worker->pending_conns);
-      }
-      for (auto& conn : migrated) {
-        const int fd = conn->fd;
-        Conn* c = conn.get();
-        auto ins = worker->conns.emplace(fd, std::move(conn));
-        if (NetTrace())
-          fprintf(stderr, "[%ld srv %d w%d] adopt fd=%d inserted=%d buffered=%zu\n",
-                  TraceMs(), (int)port_, worker->index, fd, (int)ins.second,
-                  c->decoder.buffered());
-        // The frame that triggered the migration crossed over unread
-        // inside the decoder; no epoll event will ever fire for bytes
-        // that are already buffered, so drain them now.
-        if (!ProcessFrames(worker, c)) {
-          CloseConn(worker, fd);
-          continue;
-        }
-        const bool backlog = c->out_pos < c->out.size();
-        c->want_write = backlog;
-#if CACHEKV_NET_EPOLL
-        epoll_event ev;
-        std::memset(&ev, 0, sizeof(ev));
-        ev.events =
-            EPOLLIN | (backlog ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-        ev.data.fd = fd;
-        ::epoll_ctl(worker->epfd, EPOLL_CTL_ADD, fd, &ev);
-#else
-        (void)backlog;  // the poll() path rebuilds interest per round
-#endif
-      }
     }
 
     for (const auto& [fd, mask] : ready) {
@@ -809,8 +834,10 @@ void Server::WorkerLoop(Worker* worker) {
         continue;  // closed earlier this round
       }
       Conn* conn = it->second.get();
-      bool alive = true;
-      if (mask & POLLIN) {
+      // A parked connection watches no reads, so a read event on it is
+      // an error or hangup: the peer is gone.
+      bool alive = !((mask & POLLIN) && conn->parked());
+      if (alive && (mask & POLLIN)) {
         while (alive) {
           if (fault::AnyActive() && !fault::Inject("net.read").ok()) {
             alive = false;  // injected read failure closes the conn
@@ -821,8 +848,8 @@ void Server::WorkerLoop(Worker* worker) {
             bytes_in_->Increment(static_cast<uint64_t>(got));
             conn->decoder.Feed(rbuf, static_cast<size_t>(got));
             alive = ProcessFrames(worker, conn);
-            if (Misplaced(worker, conn)) {
-              break;  // migrate first; the owner-to-be reads the rest
+            if (conn->parked()) {
+              break;  // the rest waits in the socket (see Conn::frames)
             }
             if (got < static_cast<ssize_t>(sizeof(rbuf))) {
               break;  // drained the socket
@@ -846,51 +873,9 @@ void Server::WorkerLoop(Worker* worker) {
         CloseConn(worker, fd);
         continue;
       }
-      // A connection classified for the other side of the house moves
-      // there before its next frame is handled (whole Conn, mid-stream
-      // state intact, undecoded frames still parked in the decoder):
-      // repl streams to the dedicated repl worker so subscribes and
-      // acks keep flowing even when every client worker blocks in
-      // WaitCommitAcked; client connections off the repl worker so
-      // client writes can never block it.
-      if (Misplaced(worker, conn)) {
-        Worker* rw = repl_worker();
-        Worker* target =
-            conn->is_repl
-                ? rw
-                : workers_[next_worker_.fetch_add(
-                               1, std::memory_order_relaxed) %
-                           (workers_.size() - 1)]
-                      .get();
-#if CACHEKV_NET_EPOLL
-        ::epoll_ctl(worker->epfd, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-        auto node = std::move(it->second);
-        worker->conns.erase(it);
-        {
-          std::lock_guard<std::mutex> lock(target->mu);
-          target->pending_conns.push_back(std::move(node));
-        }
-        if (NetTrace())
-          fprintf(stderr, "[%ld srv %d w%d] migrate fd=%d -> w%d\n",
-                  TraceMs(), (int)port_, worker->index, fd,
-                  target->index);
-        WakeByte(target->wake_wr);
-        continue;
-      }
-      // (Re-)arm write interest to match the backlog.
-      const bool backlog = conn->out_pos < conn->out.size();
-      if (backlog != conn->want_write) {
-        conn->want_write = backlog;
-#if CACHEKV_NET_EPOLL
-        epoll_event ev;
-        std::memset(&ev, 0, sizeof(ev));
-        ev.events = EPOLLIN | (backlog ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-        ev.data.fd = fd;
-        ::epoll_ctl(worker->epfd, EPOLL_CTL_MOD, fd, &ev);
-#endif
-      }
+      UpdateInterest(worker, conn);
     }
+    ResumeParked(worker);
   }
 
   // Shutdown: close every connection this worker owns.
@@ -903,114 +888,152 @@ void Server::WorkerLoop(Worker* worker) {
     connections_->Add(-1);
   }
   worker->conns.clear();
+  worker->parked.clear();
+  worker->num_parked.store(0);
 }
 
-namespace {
-// Repl stream ops are served only by the dedicated repl worker; a
-// client worker that sees one parks the frame and migrates the whole
-// connection instead of handling it in place. PROMOTE is excluded: it
-// is a one-shot admin request, and with --repl-ack it must not queue
-// behind the repl worker's ack traffic.
-bool IsReplStreamOp(Op op) {
-  return op == Op::kReplSubscribe || op == Op::kReplBatch ||
-         op == Op::kReplAck || op == Op::kReplSnapshot;
+void Server::UpdateInterest(Worker* worker, Conn* conn) {
+  const bool want_read = !conn->parked();
+  const bool want_write = conn->out_pos < conn->out.size();
+  if (want_read == conn->want_read && want_write == conn->want_write) {
+    return;
+  }
+  conn->want_read = want_read;
+  conn->want_write = want_write;
+#if CACHEKV_NET_EPOLL
+  epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = (want_read ? static_cast<uint32_t>(EPOLLIN) : 0u) |
+              (want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+  ev.data.fd = conn->fd;
+  ::epoll_ctl(worker->epfd, EPOLL_CTL_MOD, conn->fd, &ev);
+#else
+  (void)worker;  // the poll() path rebuilds interest per round
+#endif
 }
-}  // namespace
 
-bool Server::Misplaced(Worker* worker, Conn* conn) const {
-  Worker* rw = repl_worker();
-  if (rw == nullptr || !conn->classified) return false;
-  return conn->is_repl ? worker != rw : worker == rw;
+int Server::PollTimeoutMs(const Worker* worker) const {
+  using std::chrono::milliseconds;
+  milliseconds timeout(500);
+  if (worker->parked.empty()) return static_cast<int>(timeout.count());
+  const auto now = std::chrono::steady_clock::now();
+  for (const Conn* conn : worker->parked) {
+    // Rounded up: waking before the deadline would only spin.
+    timeout = std::min(timeout, std::max(milliseconds(0),
+                                         std::chrono::ceil<milliseconds>(
+                                             conn->deadline - now)));
+  }
+  return static_cast<int>(timeout.count());
+}
+
+void Server::WakeParked() {
+  for (const auto& w : workers_) {
+    if (w->num_parked.load() > 0 && !w->wake_pending.exchange(true)) {
+      WakeByte(w->wake_wr);
+    }
+  }
+}
+
+void Server::Park(Worker* worker, Conn* conn) {
+  // Counted before anything checks whether the wait is over: an ack
+  // landing after that check then finds num_parked > 0 and wakes us.
+  worker->num_parked.fetch_add(1);
+  worker->parked.push_back(conn);
+}
+
+bool Server::TryResume(Conn* conn,
+                       std::chrono::steady_clock::time_point now) {
+  const bool expired = now >= conn->deadline;
+  if (conn->fetch_held) {
+    if (!expired && repl_->MayHoldFetch(conn->fetch, conn->follower_id)) {
+      return false;
+    }
+    conn->fetch_held = false;
+    const size_t i = conn->next_frame++;
+    HandleRequest(conn, conn->frames[i],
+                  static_cast<uint32_t>(conn->frames.size() - 1 - i));
+    return true;
+  }
+  WriteRun* run = conn->parked_run.get();
+  bool settled = true;
+  for (repl::ReplHub::CommitWait& wait : run->acks) {
+    settled = repl_->PollCommitWait(&wait, expired) && settled;
+  }
+  if (!settled) return false;
+  run->timeline.Stage("req.repl");
+  RespondWrites(conn, run);
+  conn->parked_run.reset();  // closes the run's span and timeline
+  return true;
+}
+
+void Server::ResumeParked(Worker* worker) {
+  // A resumed connection goes on with its frames and may park again on
+  // the next write run; every pass checks each park once more, so no
+  // parked connection sleeps without a check after its last park.
+  bool resumed = true;
+  while (resumed && !worker->parked.empty()) {
+    resumed = false;
+    const auto now = std::chrono::steady_clock::now();
+    std::vector<Conn*> parked;
+    parked.swap(worker->parked);
+    for (Conn* conn : parked) {
+      if (!TryResume(conn, now)) {
+        worker->parked.push_back(conn);
+        continue;
+      }
+      worker->num_parked.fetch_sub(1);
+      resumed = true;
+      if (!ProcessFrames(worker, conn)) {
+        CloseConn(worker, conn->fd);
+        continue;
+      }
+      UpdateInterest(worker, conn);
+    }
+  }
 }
 
 bool Server::ProcessFrames(Worker* worker, Conn* conn) {
-  Worker* rw = repl_worker();
-  if (rw != nullptr && !conn->classified) {
-    // Classify by the first frame's opcode before handling anything,
-    // so the connection reaches the right worker first (see
-    // Conn::classified).
-    Op first;
-    if (conn->decoder.PeekOp(&first)) {
-      conn->classified = true;
-      conn->is_repl = IsReplStreamOp(first);
-    } else if (conn->decoder.buffered() >= 6) {
-      // Header bytes present but malformed: treat as a client conn so
-      // Next latches the decode error on a client worker.
-      conn->classified = true;
-      conn->is_repl = false;
-    } else {
-      return FlushOut(conn);  // length + opcode not buffered yet
-    }
-  }
-  if (Misplaced(worker, conn)) {
-    // Park the bytes in the decoder; WorkerLoop migrates the whole
-    // Conn and the destination worker drains them on adoption.
-    return FlushOut(conn);
-  }
-  // Pull every complete frame first: the span between "bytes arrived"
-  // and "responses written" is where pipelined writes batch.
-  //
-  // Exception: a repl stream frame on a client worker is left inside
-  // the decoder, and the connection is flagged for migration to the
-  // repl worker, which drains it on adoption. Handling it here would
-  // deadlock under --repl-ack: the client worker can be blocked in
-  // WaitCommitAcked waiting on acks from the very follower whose
-  // subscribe just landed on it.
-  // The reverse also holds: the repl worker only ever executes repl
-  // stream frames. Anything else (a PING, a PROMOTE, a stray write) is
-  // parked and the connection re-classified, so WaitCommitAcked can
-  // never run on — and wedge — the repl worker.
-  std::vector<Frame> frames;
-  Frame frame;
-  FrameDecoder::Result r = FrameDecoder::Result::kNeedMore;
-  Op next_op;
-  while (true) {
-    if (rw != nullptr && conn->decoder.PeekOp(&next_op)) {
-      const bool repl_op = IsReplStreamOp(next_op);
-      if (repl_op != (worker == rw)) {
-        conn->is_repl = repl_op;
-        break;
-      }
-    }
-    r = conn->decoder.Next(&frame);
-    if (r != FrameDecoder::Result::kFrame) break;
-    frames.push_back(frame);
-  }
   obs::Tracer* tracer = primary()->trace();
   const bool tracing = tracer->enabled();
-  std::vector<uint64_t> traced_ids;
-  if (tracing) {
-    for (const Frame& f : frames) {
-      if (f.traced) {
+  std::vector<Frame>& frames = conn->frames;
+  if (conn->next_frame == frames.size()) {
+    // Pull every complete frame first: the span between "bytes arrived"
+    // and "responses written" is where pipelined writes batch.
+    frames.clear();
+    conn->next_frame = conn->unsent_from = 0;
+    Frame frame;
+    while (conn->decoder.Next(&frame) == FrameDecoder::Result::kFrame) {
+      frames.push_back(frame);
+      if (tracing && frame.traced) {
         // The receive-side marker of the merged timeline: when the
         // request became visible to the server.
-        tracer->Instant("net.recv", "trace", f.trace_id);
-        traced_ids.push_back(f.trace_id);
+        tracer->Instant("net.recv", "trace", frame.trace_id);
       }
+    }
+  }
+  while (conn->next_frame < frames.size() && !conn->parked()) {
+    const size_t i = conn->next_frame;
+    const Frame& frame = frames[i];
+    // Frames decoded behind this one in the same round = the queueing
+    // the request observed on its own connection.
+    const uint32_t depth = static_cast<uint32_t>(frames.size() - 1 - i);
+    if (ShedForBackpressure(conn, frame.op, frame.request_id)) {
+      conn->next_frame++;
+      continue;
+    }
+    if (NetTrace() && frame.op >= Op::kReplSubscribe)
+      fprintf(stderr, "[%ld srv %d w%d] handle op=%d fd=%d\n", TraceMs(),
+              (int)port_, worker->index, (int)frame.op, conn->fd);
+    if (IsWriteOp(frame.op)) {
+      conn->next_frame = HandleWrites(worker, conn, i, depth);
+    } else if (frame.op != Op::kReplBatch ||
+               !HoldFetch(worker, conn, frame)) {
+      HandleRequest(conn, frame, depth);
+      conn->next_frame++;
     }
   }
   bool alive = true;
-  size_t i = 0;
-  while (i < frames.size()) {
-    // Frames decoded behind this one in the same round = the queueing
-    // the request observed on its own connection.
-    const uint32_t depth =
-        static_cast<uint32_t>(frames.size() - 1 - i);
-    if (ShedForBackpressure(conn, frames[i].op, frames[i].request_id)) {
-      i++;
-      continue;
-    }
-    if (NetTrace() && frames[i].op >= Op::kReplSubscribe)
-      fprintf(stderr, "[%ld srv %d w%d] handle op=%d fd=%d\n", TraceMs(),
-              (int)port_, worker->index, (int)frames[i].op, conn->fd);
-    if (IsWriteOp(frames[i].op)) {
-      i = HandleWrites(conn, frames, i, depth);
-    } else {
-      HandleRequest(conn, frames[i], depth);
-      i++;
-    }
-  }
-  if (r == FrameDecoder::Result::kError) {
+  if (!conn->parked() && !conn->decoder.error().empty()) {
     // The stream is unrecoverable: report once, then close. The id is 0
     // because the broken frame's id cannot be trusted.
     decode_errors_->Increment();
@@ -1019,12 +1042,32 @@ bool Server::ProcessFrames(Worker* worker, Conn* conn) {
     alive = false;
   }
   const bool flushed = FlushOut(conn);
+  // A parked run's responses are not written yet.
+  const size_t answered = conn->parked_run != nullptr
+                              ? conn->next_frame - conn->parked_run->count
+                              : conn->next_frame;
   if (flushed && tracing) {
-    for (uint64_t id : traced_ids) {
-      tracer->Instant("net.send", "trace", id);
+    for (size_t i = conn->unsent_from; i < answered; i++) {
+      if (frames[i].traced) {
+        tracer->Instant("net.send", "trace", frames[i].trace_id);
+      }
     }
   }
+  conn->unsent_from = answered;
   return flushed && alive;
+}
+
+bool Server::HoldFetch(Worker* worker, Conn* conn, const Frame& frame) {
+  if (repl_ == nullptr || conn->follower_id.empty() ||
+      !ParseReplBatchRequest(frame.payload, &conn->fetch).ok() ||
+      !repl_->MayHoldFetch(conn->fetch, conn->follower_id)) {
+    return false;
+  }
+  conn->fetch_held = true;
+  conn->deadline = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(repl::kFetchHoldMs);
+  Park(worker, conn);
+  return true;
 }
 
 bool Server::ShedForBackpressure(Conn* conn, Op op, uint64_t id) {
@@ -1085,10 +1128,11 @@ Status Server::CommitShard(uint32_t shard,
   return s;
 }
 
-size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
-                            size_t begin, uint32_t queue_depth) {
+size_t Server::HandleWrites(Worker* worker, Conn* conn, size_t begin,
+                            uint32_t queue_depth) {
   // The run: a MULTIPUT alone, or consecutive PUT/DEL requests under the
   // request and byte caps (a request's payload bounds its key + value).
+  const std::vector<Frame>& frames = conn->frames;
   size_t end = begin + 1;
   if (frames[begin].op != Op::kMultiPut) {
     size_t bytes = frames[begin].payload.size() + kRecordOverhead;
@@ -1099,31 +1143,48 @@ size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
       end++;
     }
   }
-  const Frame* run = &frames[begin];
   const size_t count = end - begin;
   requests_->Increment(count);
-  obs::SpanTimer span(primary()->metrics(), OpHistogramName(run[0].op));
-  obs::TraceScope trace(primary()->trace(), OpTraceName(run[0].op));
-  trace.AddArg("requests", count);
-  RequestTimeline timeline(this, run, count, queue_depth);
+  if (repl_ == nullptr || repl_->AcksNeeded() == 0) {
+    WriteRun run(this, &frames[begin], count, queue_depth, false);
+    CommitWrites(&run);
+    RespondWrites(conn, &run);
+    return end;
+  }
 
-  // One request of the run: its ops, each op's shard, and the commit
-  // outcome per touched shard. A nonzero `code` rejects the request
-  // before any of its ops commit.
-  struct WriteRequest {
-    std::vector<KVStore::BatchOp> ops;
-    std::vector<uint32_t> shards;
-    uint16_t code = kOk;
-    std::string error;
-    std::vector<std::pair<uint32_t, Status>> outcomes;
-  };
-  std::vector<WriteRequest> reqs(count);
+  // Follower acks are needed: the run waits for them parked, so the
+  // worker goes on serving other connections meanwhile.
+  auto run = std::make_unique<WriteRun>(this, &frames[begin], count,
+                                        queue_depth, true);
+  CommitWrites(run.get());
+  for (Frame& f : run->copies) f.payload = Slice();
+  for (uint32_t shard = 0; shard < dbs_.size(); shard++) {
+    if (run->shard_seq[shard] != 0) {
+      run->acks.push_back(
+          repl_->BeginCommitWait(shard, run->shard_seq[shard]));
+    }
+  }
+  if (run->acks.empty()) {  // nothing committed: nothing to replicate
+    RespondWrites(conn, run.get());
+    return end;
+  }
+  conn->parked_run = std::move(run);
+  conn->deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(repl_->options().ack_timeout_ms);
+  Park(worker, conn);
+  return end;
+}
+
+void Server::CommitWrites(WriteRun* run) {
+  const size_t count = run->count;
+  run->trace.AddArg("requests", count);
   for (size_t i = 0; i < count; i++) {
-    const Frame& f = run[i];
-    WriteRequest& r = reqs[i];
+    const Frame& f = run->frames[i];
+    WriteRun::Request& r = run->reqs[i];
     if (f.traced) {
       traced_requests_->Increment();
-      trace.AddArg("trace", f.trace_id);
+      run->trace.AddArg("trace", f.trace_id);
     }
     r.code = Admit(f, &r.error);
     if (r.code != kOk) continue;
@@ -1152,14 +1213,14 @@ size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
       r.error = s.ToString();
     }
   }
-  if (!reqs[0].ops.empty()) {
-    timeline.SetKey(reqs[0].ops[0].key);
+  if (!run->reqs[0].ops.empty()) {
+    run->timeline.SetKey(run->reqs[0].ops[0].key);
   }
-  timeline.Stage("req.decode");
+  run->timeline.Stage("req.decode");
 
   // Route every op, then check each request's shards before any of it
   // commits: a follower or read-only shard rejects the whole request.
-  for (WriteRequest& r : reqs) {
+  for (WriteRun::Request& r : run->reqs) {
     for (const KVStore::BatchOp& op : r.ops) {
       uint32_t shard = 0;
       Route(op.key, &shard);
@@ -1176,10 +1237,10 @@ size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
       }
     }
   }
-  if (!reqs[0].shards.empty()) {
-    timeline.SetShard(reqs[0].shards[0]);
+  if (!run->reqs[0].shards.empty()) {
+    run->timeline.SetShard(run->reqs[0].shards[0]);
   }
-  timeline.Stage("req.route");
+  run->timeline.Stage("req.route");
 
   // Group the admitted ops by shard; `parts` records, in request order,
   // where each request's share of the shard's batch begins.
@@ -1189,7 +1250,7 @@ size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
   };
   std::vector<ShardBatch> batches(dbs_.size());
   for (size_t i = 0; i < count; i++) {
-    WriteRequest& r = reqs[i];
+    WriteRun::Request& r = run->reqs[i];
     if (r.code != kOk) continue;
     for (size_t j = 0; j < r.ops.size(); j++) {
       ShardBatch& b = batches[r.shards[j]];
@@ -1200,9 +1261,11 @@ size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
     }
   }
 
-  // One commit per shard. `shard_seq` keeps each shard's latest commit
-  // for the ack waits below (0 = nothing committed).
-  std::vector<uint64_t> shard_seq(dbs_.size(), 0);
+  // One commit per shard; `shard_seq` keeps each shard's latest commit
+  // for the ack waits. Those start only once every shard has committed,
+  // so a lagging shard can never keep a later shard's writes from
+  // committing.
+  run->shard_seq.assign(dbs_.size(), 0);
   for (uint32_t shard = 0; shard < dbs_.size(); shard++) {
     ShardBatch& b = batches[shard];
     if (b.parts.empty()) continue;
@@ -1221,48 +1284,42 @@ size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
         const std::vector<KVStore::BatchOp> own(b.ops.begin() + first,
                                                 b.ops.begin() + last);
         Status own_status = CommitShard(shard, own, &seq);
-        if (own_status.ok()) shard_seq[shard] = seq;
-        reqs[b.parts[k].first].outcomes.emplace_back(shard, own_status);
+        if (own_status.ok()) run->shard_seq[shard] = seq;
+        run->reqs[b.parts[k].first].outcomes.emplace_back(shard, own_status);
       }
       continue;
     }
     if (s.ok()) {
-      shard_seq[shard] = seq;
+      run->shard_seq[shard] = seq;
       if (count > 1) {
         batched_writes_->Increment();
         batched_ops_->Increment(b.ops.size());
       }
     }
     for (const auto& part : b.parts) {
-      reqs[part.first].outcomes.emplace_back(shard, s);
+      run->reqs[part.first].outcomes.emplace_back(shard, s);
     }
   }
+  run->timeline.Stage("req.db");
+}
 
-  // Ack waits start only once every shard has committed, so a lagging
-  // shard can never keep a later shard's writes from committing.
-  std::vector<Status> acked(dbs_.size());
-  for (uint32_t shard = 0; repl_ != nullptr && shard < dbs_.size();
-       shard++) {
-    if (shard_seq[shard] != 0) {
-      acked[shard] = repl_->WaitCommitAcked(shard, shard_seq[shard]);
-    }
-  }
-  timeline.Stage("req.db");
-
+void Server::RespondWrites(Conn* conn, WriteRun* run) {
   // Each request answers with the worst outcome among its own shards: a
   // failed commit outranks an under-replicated one (REPL_TIMEOUT), which
   // outranks OK. A partial commit names the shards that committed.
-  for (size_t i = 0; i < count; i++) {
-    const WriteRequest& r = reqs[i];
+  for (size_t i = 0; i < run->count; i++) {
+    const WriteRun::Request& r = run->reqs[i];
     uint16_t code = r.code;
     std::string message = r.error;
     std::string committed;
     for (const auto& [shard, s] : r.outcomes) {
       if (s.ok()) {
         committed += (committed.empty() ? "" : ",") + std::to_string(shard);
-        if (!acked[shard].ok() && code == kOk) {
-          code = kReplTimeout;
-          message = acked[shard].ToString();
+        for (const repl::ReplHub::CommitWait& wait : run->acks) {
+          if (wait.shard == shard && !wait.status.ok() && code == kOk) {
+            code = kReplTimeout;
+            message = wait.status.ToString();
+          }
         }
       } else if (code == kOk || code == kReplTimeout) {
         // A write refused because of background degradation surfaces as
@@ -1272,20 +1329,18 @@ size_t Server::HandleWrites(Conn* conn, const std::vector<Frame>& frames,
         message = s.ToString();
       }
     }
-    const TraceContext tc = timeline.ResponseContext(i);
+    const Frame& f = run->frames[i];
+    const TraceContext tc = run->timeline.ResponseContext(i);
     if (code == kOk) {
-      EncodeOkResponse(&conn->out, run[i].op, run[i].request_id, Slice(),
-                       tc);
+      EncodeOkResponse(&conn->out, f.op, f.request_id, Slice(), tc);
       continue;
     }
     if (r.outcomes.size() > 1 && !committed.empty()) {
       message += "; committed on shards " + committed;
     }
-    EncodeErrorResponse(&conn->out, run[i].op, run[i].request_id, code,
-                        message, tc);
+    EncodeErrorResponse(&conn->out, f.op, f.request_id, code, message, tc);
   }
-  timeline.Stage("req.encode");
-  return end;
+  run->timeline.Stage("req.encode");
 }
 
 void Server::BuildStatsPayload(std::string* out) {
@@ -1333,6 +1388,39 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
     EncodeErrorResponse(&conn->out, op, id, code, message,
                         timeline.ResponseContext());
     timeline.Stage("req.encode");
+  };
+
+  // The REPL* ops and PROMOTE: parsed and checked here, served by the
+  // hub. True when the hub answered OK.
+  auto serve_repl = [&]<typename Request>(
+                        Request* req,
+                        Status (*parse)(const Slice&, Request*),
+                        uint16_t (repl::ReplHub::*handle)(
+                            const Request&, std::string*, std::string*)) {
+    Status s = parse(frame.payload, req);
+    if (!s.ok()) {
+      decode_errors_->Increment();
+      respond_error(kDecodeError, s.ToString());
+      return false;
+    }
+    if (repl_ == nullptr) {
+      respond_error(kInvalidArgument, "replication not enabled");
+      return false;
+    }
+    if (req->shard >= num_shards()) {
+      respond_error(kInvalidArgument, "shard out of range");
+      return false;
+    }
+    std::string payload;
+    std::string error;
+    const uint16_t code = (repl_->*handle)(*req, &payload, &error);
+    timeline.Stage("req.db");
+    if (code != kOk) {
+      respond_error(code, error);
+      return false;
+    }
+    respond_ok(payload);
+    return true;
   };
 
   std::string rejection;
@@ -1539,143 +1627,32 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
     }
     case Op::kReplSubscribe: {
       ReplSubscribeRequest req;
-      Status s = ParseReplSubscribeRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      conn->is_repl = true;
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandleSubscribe(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
+      if (serve_repl(&req, &ParseReplSubscribeRequest,
+                     &repl::ReplHub::HandleSubscribe)) {
+        // This connection's fetches may now be held for that follower.
+        conn->follower_id = req.follower_id.ToString();
       }
       return;
     }
     case Op::kReplBatch: {
       ReplBatchRequest req;
-      Status s = ParseReplBatchRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      conn->is_repl = true;
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandleBatch(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
+      serve_repl(&req, &ParseReplBatchRequest, &repl::ReplHub::HandleBatch);
       return;
     }
     case Op::kReplAck: {
       ReplAckRequest req;
-      Status s = ParseReplAckRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      conn->is_repl = true;
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandleAck(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
+      serve_repl(&req, &ParseReplAckRequest, &repl::ReplHub::HandleAck);
       return;
     }
     case Op::kReplSnapshot: {
       ReplSnapshotRequest req;
-      Status s = ParseReplSnapshotRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      conn->is_repl = true;
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandleSnapshot(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
+      serve_repl(&req, &ParseReplSnapshotRequest,
+                 &repl::ReplHub::HandleSnapshot);
       return;
     }
     case Op::kPromote: {
       PromoteRequest req;
-      Status s = ParsePromoteRequest(frame.payload, &req);
-      if (!s.ok()) {
-        decode_errors_->Increment();
-        respond_error(kDecodeError, s.ToString());
-        return;
-      }
-      if (repl_ == nullptr) {
-        respond_error(kInvalidArgument, "replication not enabled");
-        return;
-      }
-      if (req.shard >= num_shards()) {
-        respond_error(kInvalidArgument, "shard out of range");
-        return;
-      }
-      // An admin op, not a stream op: the connection stays on its
-      // worker.
-      std::string payload;
-      std::string error;
-      const uint16_t code = repl_->HandlePromote(req, &payload, &error);
-      timeline.Stage("req.db");
-      if (code == kOk) {
-        respond_ok(payload);
-      } else {
-        respond_error(code, error);
-      }
+      serve_repl(&req, &ParsePromoteRequest, &repl::ReplHub::HandlePromote);
       return;
     }
     case Op::kSnapshot: {

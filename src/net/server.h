@@ -2,6 +2,7 @@
 #define CACHEKV_NET_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -70,13 +71,13 @@ struct ServerOptions {
   uint32_t snapshot_ttl_ms = 60'000;
   /// Replication hub (docs/REPLICATION.md); borrowed, may be null.
   /// When set the server rejects keyed ops on follower shards with
-  /// kNotPrimary, waits for follower acks after every commit (per the
-  /// hub's ack policy; kReplTimeout on expiry), serves the REPL*
-  /// wire ops by delegating to the hub, rebuilds the SHARDMAP image
-  /// per request (epochs move), and reserves its LAST worker thread
-  /// for replication connections so an ack-waiting client worker can
-  /// never starve the very acks it waits on (num_workers is raised to
-  /// 2 if needed).
+  /// kNotPrimary, serves the REPL* wire ops by delegating to the hub,
+  /// and rebuilds the SHARDMAP image per request (epochs move). A write
+  /// run that needs follower acks (per the hub's ack policy) parks its
+  /// connection after committing and is answered when the acks arrive
+  /// (kReplTimeout on expiry); a caught-up follower's empty REPLBATCH
+  /// is held until the log moves. No worker ever blocks on a follower,
+  /// so every worker serves clients and followers alike.
   repl::ReplHub* repl = nullptr;
 };
 
@@ -102,7 +103,11 @@ struct ServerOptions {
 /// request order. Every write takes one path (HandleWrites): a MULTIPUT,
 /// or a run of consecutive single-key PUT/DEL requests, is grouped by
 /// shard, committed as one atomic DB::ApplyBatch per shard, and then
-/// acknowledged request by request.
+/// acknowledged request by request. With replication, a connection
+/// can be parked — on a write run waiting for follower acks, or on a
+/// held follower fetch — until the hub's log wakes its worker or a
+/// deadline passes; while parked it reads nothing and runs none of its
+/// later frames, and its worker serves every other connection.
 ///
 /// Integration: counters and per-op latency histograms go to the
 /// primary DB's MetricsRegistry under "net.*" (so STATS serves one
@@ -185,6 +190,10 @@ class Server {
   /// Per-request stage clock for the slow log + trace propagation;
   /// defined in server.cc.
   class RequestTimeline;
+  /// One write run from decode to response; a run waiting for follower
+  /// acks lives on the heap, owned by its parked connection. Defined in
+  /// server.cc.
+  struct WriteRun;
   /// One wire-pinned snapshot (docs/SNAPSHOTS.md): a DB::GetSnapshot
   /// handle per shard plus its expiry deadline. Held by shared_ptr so
   /// a release or TTL sweep concurrent with an in-flight at-snapshot
@@ -199,29 +208,53 @@ class Server {
 
   void AcceptLoop();
   void WorkerLoop(Worker* worker);
-  /// Pulls every complete frame out of the connection's decoder and
-  /// writes the responses. Returns false when the connection must
-  /// close (decode error, write failure).
+  /// Handles the connection's frames in order: pulls every complete
+  /// frame out of its decoder, or — resuming a parked connection — goes
+  /// on with the frames already pulled, until they are done or the
+  /// connection parks again; then writes the responses. Returns false
+  /// when the connection must close (decode error, write failure).
   bool ProcessFrames(Worker* worker, Conn* conn);
-  /// True when a classified connection sits on the wrong worker (repl
-  /// conn off the repl worker, client conn on it) and must migrate.
-  bool Misplaced(Worker* worker, Conn* conn) const;
-  /// The one write path. Handles the run starting at frames[begin]: a
-  /// MULTIPUT alone, or consecutive PUT/DEL requests up to the run caps.
-  /// Parses every request, groups the ops by shard, commits each shard
-  /// once (CommitShard), waits for replication acks only after every
-  /// shard has committed, and answers each request with the worst
-  /// outcome among its own shards. Returns the first unconsumed index.
-  /// `queue_depth` is the number of frames decoded behind
-  /// frames[begin] in its round.
-  size_t HandleWrites(Conn* conn, const std::vector<Frame>& frames,
-                      size_t begin, uint32_t queue_depth);
+  /// The one write path. Handles the run starting at conn->frames[begin]:
+  /// a MULTIPUT alone, or consecutive PUT/DEL requests up to the run
+  /// caps. Parses every request, groups the ops by shard and commits
+  /// each shard once (CommitShard). A run that needs follower acks then
+  /// parks the connection (answered from ResumeParked); any other is
+  /// answered at once, each request with the worst outcome among its
+  /// own shards. Returns the first index past the run. `queue_depth` is
+  /// the number of frames decoded behind frames[begin] in its round.
+  size_t HandleWrites(Worker* worker, Conn* conn, size_t begin,
+                      uint32_t queue_depth);
+  /// Decodes, routes and commits a run's requests.
+  void CommitWrites(WriteRun* run);
+  /// Encodes a committed run's responses.
+  void RespondWrites(Conn* conn, WriteRun* run);
   /// Commits `ops` to `shard` with one DB::ApplyBatch, then invalidates
   /// their keys in the shard's hot-key cache (after the commit, before
   /// any ack). On success *seq receives the commit's last sequence.
   Status CommitShard(uint32_t shard,
                      const std::vector<KVStore::BatchOp>& ops,
                      uint64_t* seq);
+  /// Parks the connection on `frame`, a REPLBATCH, when the hub says it
+  /// would find nothing and may be held (ReplHub::MayHoldFetch).
+  bool HoldFetch(Worker* worker, Conn* conn, const Frame& frame);
+  void Park(Worker* worker, Conn* conn);
+  /// Moves the connection on if it can: a parked write run whose ack
+  /// waits all settled (or whose deadline passed) is answered; a held
+  /// fetch is answered once the hub no longer lets it be held or its
+  /// hold expired. True when the connection is no longer parked.
+  bool TryResume(Conn* conn, std::chrono::steady_clock::time_point now);
+  /// Tries every parked connection of the worker, and goes on with the
+  /// frames of those that resume, until a pass resumes none.
+  void ResumeParked(Worker* worker);
+  /// The hub's log listener: writes one wake byte to each worker that
+  /// has a parked connection and no wake pending.
+  void WakeParked();
+  /// epoll/poll timeout: the default tick, or less when a parked
+  /// connection's deadline comes sooner.
+  int PollTimeoutMs(const Worker* worker) const;
+  /// Points the poller at what the connection can use next: reads unless
+  /// it is parked, writes while output is backlogged.
+  void UpdateInterest(Worker* worker, Conn* conn);
   void HandleRequest(Conn* conn, const Frame& frame,
                      uint32_t queue_depth);
   /// The checks every request passes before its op runs: no response
@@ -248,9 +281,6 @@ class Server {
   /// Releases every TTL-expired snapshot; runs on the sweeper thread.
   void SweepSnapshots();
   void SnapshotSweeperLoop();
-  /// The worker reserved for replication connections (the last one;
-  /// null when no hub is attached).
-  Worker* repl_worker() const;
   /// True when the hub says `shard` must not serve keyed requests
   /// (this server follows another primary for it).
   bool ShardNotPrimary(uint32_t shard) const;

@@ -160,33 +160,29 @@ void ReplHub::UpdateLagGauge(uint32_t shard) {
 void ReplHub::OnCommit(uint32_t shard,
                        const std::vector<KVStore::BatchOp>& ops,
                        uint64_t last_db_seq) {
+  Shard* st = shards_[shard].get();
+  // A following shard's outbound log would serve nobody: promotion
+  // resets it before any subscriber could read it.
+  if (!st->is_primary.load(std::memory_order_acquire)) return;
   std::string blob;
   net::EncodeReplOps(&blob, ops);
-  Shard* st = shards_[shard].get();
   const uint64_t head = st->log->Append(std::move(blob), last_db_seq);
   dbs_[shard]->metrics()->GetGauge("repl.log_head")
       ->Set(static_cast<double>(head));
 }
 
-Status ReplHub::WaitCommitAcked(uint32_t shard, uint64_t db_seq) {
-  uint32_t needed = 0;
+uint32_t ReplHub::AcksNeeded() const {
   const uint32_t replicas =
       static_cast<uint32_t>(options_.replicas.size());
   switch (options_.ack) {
-    case AckPolicy::kNone: needed = 0; break;
-    case AckPolicy::kQuorum: needed = (replicas + 1) / 2; break;
-    case AckPolicy::kAll: needed = replicas; break;
+    case AckPolicy::kNone: return 0;
+    case AckPolicy::kQuorum: return (replicas + 1) / 2;
+    case AckPolicy::kAll: return replicas;
   }
-  if (needed == 0) return Status::OK();
-  Shard* st = shards_[shard].get();
-  // Wait on the caller's own write, not the log head: waiting on the
-  // head would let concurrent later writes extend the wait past the
-  // timeout.
-  Status s = db_seq != 0
-                 ? st->log->WaitCommit(db_seq, needed,
-                                       options_.ack_timeout_ms)
-                 : st->log->WaitAcked(st->log->head_seq(), needed,
-                                      options_.ack_timeout_ms);
+  return 0;
+}
+
+Status ReplHub::CountAckWait(uint32_t shard, Status s) {
   if (!s.ok()) {
     dbs_[shard]->metrics()
         ->GetCounter(s.IsIOError() ? "repl.ack_resets"
@@ -194,6 +190,52 @@ Status ReplHub::WaitCommitAcked(uint32_t shard, uint64_t db_seq) {
         ->Increment();
   }
   return s;
+}
+
+Status ReplHub::WaitCommitAcked(uint32_t shard, uint64_t db_seq) {
+  const uint32_t needed = AcksNeeded();
+  if (needed == 0) return Status::OK();
+  return CountAckWait(shard, shards_[shard]->log->WaitCommit(
+                                 db_seq, needed, options_.ack_timeout_ms));
+}
+
+ReplHub::CommitWait ReplHub::BeginCommitWait(uint32_t shard,
+                                             uint64_t db_seq) const {
+  CommitWait wait;
+  wait.shard = shard;
+  wait.db_seq = db_seq;
+  wait.run_id = shards_[shard]->log->run_id();
+  return wait;
+}
+
+bool ReplHub::PollCommitWait(CommitWait* wait, bool expired) {
+  if (wait->settled) return true;
+  const ReplLog::CommitState state =
+      shards_[wait->shard]->log->CheckCommit(wait->db_seq, AcksNeeded(),
+                                             wait->run_id);
+  if (state == ReplLog::CommitState::kPending && !expired) return false;
+  wait->status = CountAckWait(wait->shard, ReplLog::CommitStatus(state));
+  wait->settled = true;
+  return true;
+}
+
+void ReplHub::SetWaker(std::function<void()> wake) {
+  for (auto& st : shards_) st->log->SetListener(wake);
+}
+
+bool ReplHub::MayHoldFetch(const net::ReplBatchRequest& req,
+                           const std::string& follower_id) const {
+  if (req.shard >= shards_.size() || !IsPrimary(req.shard) ||
+      req.epoch != Epoch(req.shard) ||
+      req.from_seq <= shards_[req.shard]->log->head_seq()) {
+    return false;  // answer now: fencing, or records to send
+  }
+  for (uint32_t s = 0; s < shards_.size(); s++) {
+    if (IsPrimary(s) && !shards_[s]->log->CaughtUp(follower_id)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool ReplHub::FenceEpoch(uint32_t shard, uint64_t req_epoch) {
@@ -569,8 +611,7 @@ bool ReplHub::SweepLocalGap(uint32_t shard, const std::string& after,
   return true;
 }
 
-bool ReplHub::PullShard(net::Client* client, uint32_t shard,
-                        bool* made_progress) {
+bool ReplHub::PullShard(net::Client* client, uint32_t shard) {
   Shard* st = shards_[shard].get();
   net::ReplBatchRequest req;
   req.shard = shard;
@@ -585,9 +626,7 @@ bool ReplHub::PullShard(net::Client* client, uint32_t shard,
             s.ToString().c_str(), resp.records.size());
   if (s.IsNotFound()) {
     // kReplLagged: the primary truncated past our cursor.
-    if (!BootstrapShard(client, shard)) return client->connected();
-    *made_progress = true;
-    return true;
+    return BootstrapShard(client, shard) || client->connected();
   }
   if (s.IsInvalidArgument()) {
     if (client->last_wire_code() != net::kStaleEpoch) {
@@ -636,28 +675,27 @@ bool ReplHub::PullShard(net::Client* client, uint32_t shard,
       dbs_[shard]->metrics()->GetCounter("repl.log_reset_bootstraps")
           ->Increment();
     }
-    if (!BootstrapShard(client, shard)) return client->connected();
-    *made_progress = true;
-    return true;
+    return BootstrapShard(client, shard) || client->connected();
   }
   for (const net::ReplRecord& rec : resp.records) {
     if (rec.log_seq <= applied) continue;  // duplicate delivery
     if (rec.log_seq != applied + 1) {
       // A gap means the log was truncated between fetch rounds.
-      if (!BootstrapShard(client, shard)) return client->connected();
-      *made_progress = true;
-      return true;
+      return BootstrapShard(client, shard) || client->connected();
     }
     std::vector<KVStore::BatchOp> ops;
     Status parsed = net::ParseReplOps(rec.ops_blob, &ops);
     if (!parsed.ok() || !dbs_[shard]->ApplyBatch(ops).ok()) {
-      return true;  // local failure: retry the same record next round
+      // Local failure: retry the same record next round, after a pause
+      // (the primary never holds a fetch that has records to send).
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(options_.reconnect_backoff_ms));
+      return true;
     }
     applied = rec.log_seq;
     st->applied_seq.store(applied, std::memory_order_release);
     dbs_[shard]->metrics()->GetCounter("repl.applied_batches")
         ->Increment();
-    *made_progress = true;
   }
   if (!resp.records.empty()) {
     net::ReplAckRequest ack;
@@ -689,13 +727,15 @@ void ReplHub::FenceOldPrimary() {
     if (stop_.load(std::memory_order_relaxed)) return;
     net::Client fence(copts);
     if (fence.Connect(host, port).ok()) {
+      // Named: the request's follower_id is a Slice into it.
+      const std::string id =
+          self_endpoint_.empty() ? "promoted" : self_endpoint_;
       for (uint32_t s = 0; s < shards_.size(); s++) {
         if (fenced[s] || !IsPrimary(s)) continue;
         net::ReplSubscribeRequest sub;
         sub.shard = s;
         sub.epoch = Epoch(s);
-        sub.follower_id =
-            self_endpoint_.empty() ? "promoted" : self_endpoint_;
+        sub.follower_id = id;
         net::ReplSubscribeResponse ignored;
         if (fence.ReplSubscribe(sub, &ignored).ok()) fenced[s] = true;
       }
@@ -786,27 +826,26 @@ void ReplHub::FollowerLoop() {
       subscribed = all_ok;
       if (all_ok) last_contact = std::chrono::steady_clock::now();
     }
-    bool progress = false;
+    // No idle sleep: a caught-up follower's fetch is held by the
+    // primary until its log moves (ReplHub::MayHoldFetch).
     bool transport_ok = true;
     for (uint32_t s = 0;
          s < shards_.size() && !stop_.load(std::memory_order_relaxed);
          s++) {
       if (IsPrimary(s)) continue;
-      if (!PullShard(&client, s, &progress)) {
+      if (!PullShard(&client, s)) {
         transport_ok = false;
         break;
       }
+      // Every answered fetch is contact: a round of held fetches takes
+      // up to kFetchHoldMs per shard and must not read as silence.
+      last_contact = std::chrono::steady_clock::now();
     }
     if (!transport_ok || !client.connected()) {
       client.Close();
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options_.reconnect_backoff_ms));
       continue;
-    }
-    last_contact = std::chrono::steady_clock::now();
-    if (!progress) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.pull_idle_ms));
     }
   }
 }

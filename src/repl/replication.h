@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,6 +33,12 @@ enum class AckPolicy {
 const char* AckPolicyName(AckPolicy policy);
 bool ParseAckPolicy(const std::string& name, AckPolicy* out);
 
+/// Longest a server holds a follower's REPLBATCH that finds nothing new
+/// before answering it empty (docs/REPLICATION.md "Threading"). The
+/// follower counts every answered fetch as contact with its primary, so
+/// this stays far below any --auto-promote-ms.
+constexpr int kFetchHoldMs = 50;
+
 struct ReplOptions {
   AckPolicy ack = AckPolicy::kNone;
   /// How long a committed write may wait for follower acks before the
@@ -44,9 +51,8 @@ struct ReplOptions {
   /// Follower pull sizing.
   uint32_t pull_batch_max = 256;
   uint32_t snapshot_page = 512;
-  /// Sleep between pulls while fully caught up.
-  int pull_idle_ms = 2;
-  /// Backoff after a failed connect/pull against the primary.
+  /// Backoff after a failed connect/pull against the primary, or a
+  /// failed local apply of a pulled record.
   int reconnect_backoff_ms = 50;
   /// Follower self-promotion after this long without a successful
   /// exchange with the primary. 0 disables (PROMOTE op only).
@@ -73,7 +79,9 @@ struct ReplOptions {
 /// OLDER epoch is rejected with kStaleEpoch.
 ///
 /// Thread safety: handlers and the commit path are safe to call from
-/// any server worker; Start/Stop are main-thread lifecycle calls.
+/// any server worker, and nothing a server worker calls blocks on a
+/// follower (the blocking WaitCommitAcked is for callers outside the
+/// event loop); Start/Stop are main-thread lifecycle calls.
 class ReplHub {
  public:
   /// `dbs` are the server's per-shard stores (borrowed, not owned);
@@ -110,15 +118,55 @@ class ReplHub {
   void OnCommit(uint32_t shard, const std::vector<KVStore::BatchOp>& ops,
                 uint64_t last_db_seq);
 
+  /// Follower acks one commit needs under the ack policy; 0 under kNone
+  /// or with no replicas, when a commit is acked as soon as it applied.
+  uint32_t AcksNeeded() const;
+
   /// Blocks until the log record covering DB sequence `db_seq` (the
   /// caller's own commit, as DB::MultiPut reports it) satisfies the ack
   /// policy — NOT the log head, so concurrent later writes never extend
-  /// the wait. `db_seq` == 0 waits on the log head instead. OK when
+  /// the wait. `db_seq` == 0 waits on the newest record instead
+  /// (ReplLog::WaitCommit, the blocking form of the predicate the
+  /// server polls). OK when
   /// satisfied (immediately under kNone or with no replicas); Busy
   /// after ack_timeout_ms (the server answers kReplTimeout: the write is
   /// committed locally but under-replicated); IOError when a concurrent
-  /// promotion reset the log mid-wait.
+  /// promotion reset the log mid-wait. The server never calls this: it
+  /// parks the write and polls a CommitWait instead.
   Status WaitCommitAcked(uint32_t shard, uint64_t db_seq = 0);
+
+  /// One shard's ack wait for the caller's own commit, in the form an
+  /// event loop polls instead of blocking on (see WaitCommitAcked).
+  struct CommitWait {
+    uint32_t shard = 0;
+    uint64_t db_seq = 0;
+    uint64_t run_id = 0;  // the log lifetime the wait began in
+    bool settled = false;
+    Status status;  // once settled: what WaitCommitAcked would return
+  };
+  CommitWait BeginCommitWait(uint32_t shard, uint64_t db_seq) const;
+  /// Evaluates `wait` with ReplLog::CheckCommit, the predicate
+  /// WaitCommitAcked blocks on, and settles it when acked, when the log
+  /// was reset, or — still unacked — when `expired`; failures are
+  /// counted as WaitCommitAcked counts them. Returns wait->settled.
+  bool PollCommitWait(CommitWait* wait, bool expired);
+
+  /// Installs `wake` on every shard's log (ReplLog::SetListener: it runs
+  /// under the log's lock after each append, advancing ack and reset);
+  /// null removes it. The server uses it to wake the event loops whose
+  /// connections are parked on replication.
+  void SetWaker(std::function<void()> wake);
+
+  /// True when `req`, a REPLBATCH from the follower `follower_id`, would
+  /// find nothing new and may be held until the log moves (at most
+  /// kFetchHoldMs): this server is primary for the shard at the
+  /// request's epoch, and the follower has acked the head of every
+  /// shard this server is primary for. The follower pulls every shard
+  /// over one connection, so a fetch is never held while another shard
+  /// has records the follower has not acked; an append to any shard or
+  /// a log reset makes this false again.
+  bool MayHoldFetch(const net::ReplBatchRequest& req,
+                    const std::string& follower_id) const;
 
   // Wire-op handlers (see src/net/server.cc). Each returns the wire
   // code; on net::kOk `*payload` holds the response payload, otherwise
@@ -171,11 +219,14 @@ class ReplHub {
   uint64_t PromoteShard(uint32_t shard, uint64_t min_epoch);
   void UpdateLagGauge(uint32_t shard);
   void PublishShardGauges(uint32_t shard);
+  /// Counts a failed ack wait (repl.ack_resets after a reset,
+  /// repl.ack_timeouts otherwise) and returns `s`.
+  Status CountAckWait(uint32_t shard, Status s);
 
   void FollowerLoop();
   /// One pull round for one shard; false on any transport error (the
   /// caller reconnects). Applies records and acks progress.
-  bool PullShard(net::Client* client, uint32_t shard, bool* made_progress);
+  bool PullShard(net::Client* client, uint32_t shard);
   /// Cursor-paged snapshot bootstrap: converges the local store to
   /// exactly the primary's state (puts every snapshot entry AND sweeps
   /// local keys the snapshot does not carry — deletions and divergent

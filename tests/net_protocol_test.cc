@@ -274,55 +274,6 @@ std::string U32Le(uint32_t v) {
   return s;
 }
 
-TEST(NetProtocolTest, PeekOpSeesHeaderWithoutConsuming) {
-  // The server classifies a connection by its first frame's opcode
-  // before handling anything (docs/REPLICATION.md "Threading"): the
-  // peek must succeed as soon as the header is in — body still in
-  // flight — and must not consume the frame.
-  std::string wire;
-  EncodeReplSubscribeRequest(&wire, 7, ReplSubscribeRequest{});
-  FrameDecoder dec;
-  Op op = Op::kPing;
-  EXPECT_FALSE(dec.PeekOp(&op));  // empty
-  dec.Feed(wire.data(), 5);       // length + opcode, flags missing
-  EXPECT_FALSE(dec.PeekOp(&op));
-  dec.Feed(wire.data() + 5, 1);  // header complete, body missing
-  EXPECT_TRUE(dec.PeekOp(&op));
-  EXPECT_EQ(Op::kReplSubscribe, op);
-  Frame f;
-  EXPECT_EQ(Result::kNeedMore, dec.Next(&f));
-  dec.Feed(wire.data() + 6, wire.size() - 6);
-  EXPECT_TRUE(dec.PeekOp(&op));  // still there: peek consumed nothing
-  ASSERT_EQ(Result::kFrame, dec.Next(&f));
-  EXPECT_EQ(Op::kReplSubscribe, f.op);
-  EXPECT_EQ(7u, f.request_id);
-  EXPECT_FALSE(dec.PeekOp(&op));  // consumed by Next
-}
-
-TEST(NetProtocolTest, PeekOpRejectsMalformedHeader) {
-  {
-    FrameDecoder dec;
-    std::string bad = U32Le(3);  // undersized body_len
-    bad.push_back(static_cast<char>(Op::kPing));
-    bad.push_back(0);
-    dec.Feed(bad.data(), bad.size());
-    Op op;
-    EXPECT_FALSE(dec.PeekOp(&op));  // left for Next to latch
-    Frame f;
-    EXPECT_EQ(Result::kError, dec.Next(&f));
-    EXPECT_FALSE(dec.PeekOp(&op));  // failed stream stays failed
-  }
-  {
-    FrameDecoder dec;
-    std::string bad = U32Le(kFrameFixedBody);
-    bad.push_back(static_cast<char>(0x7f));  // unknown opcode
-    bad.push_back(0);
-    dec.Feed(bad.data(), bad.size());
-    Op op;
-    EXPECT_FALSE(dec.PeekOp(&op));
-  }
-}
-
 TEST(NetProtocolTest, UndersizedBodyLenIsError) {
   FrameDecoder dec;
   const std::string bad = U32Le(3);  // < kFrameFixedBody

@@ -3,15 +3,18 @@
 // two-process-shaped integration — a primary and a follower server in
 // one process, connected over real TCP. Covers follower catch-up under
 // ack=all, manual PROMOTE fencing the deposed primary, snapshot
-// bootstrap after log truncation, armed repl.* fail points, and the
-// acceptance case: the primary dies mid-load and a ShardedClient fails
-// over to the auto-promoted follower with zero acked writes lost.
+// bootstrap after log truncation, armed repl.* fail points, writes
+// parked for acks without blocking the server (docs/REPLICATION.md
+// "Threading"), and the acceptance case: the primary dies mid-load and
+// a ShardedClient fails over to the auto-promoted follower with zero
+// acked writes lost.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -26,6 +29,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/shard_router.h"
+#include "obs/slow_log.h"
 #include "pmem/pmem_env.h"
 #include "repl/repl_log.h"
 #include "repl/replication.h"
@@ -120,7 +124,8 @@ struct Node {
   std::unique_ptr<net::Server> server;
   std::string endpoint;
 
-  void Start(const repl::ReplOptions& ropts, uint16_t port) {
+  void Start(const repl::ReplOptions& ropts, uint16_t port,
+             int num_workers = 2) {
     CacheKVOptions dbopts = TestDb();
     env = std::make_unique<PmemEnv>(TestEnv(dbopts.pool_bytes));
     ASSERT_TRUE(DB::Open(env.get(), dbopts, false, &db).ok());
@@ -129,6 +134,7 @@ struct Node {
     hub->AttachCommitHooks();
     net::ServerOptions sopts;
     sopts.port = port;
+    sopts.num_workers = num_workers;
     sopts.repl = hub.get();
     server = std::make_unique<net::Server>(db.get(), sopts);
     ASSERT_TRUE(server->Start().ok());
@@ -147,6 +153,35 @@ struct Node {
     if (db) db->WaitIdle();
   }
 };
+
+/// A quorum primary whose one configured replica never connects: every
+/// write it commits waits for acks that do not come, parked until
+/// `ack_timeout_ms`. One worker, so everything else it serves meanwhile
+/// is served by the very event loop the parked write sits on.
+void StartUnackedPrimary(Node* primary, int ack_timeout_ms) {
+  repl::ReplOptions popts;
+  popts.ack = repl::AckPolicy::kQuorum;
+  popts.ack_timeout_ms = ack_timeout_ms;
+  popts.replicas = {"127.0.0.1:" + std::to_string(PickPort())};
+  primary->Start(popts, 0, /*num_workers=*/1);
+}
+
+/// Waits (bounded) until `db` committed its first write.
+bool WaitForCommit(repl::ReplHub* hub) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (hub->log(0)->head_seq() == 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+int64_t MsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 class ReplicationTest : public ::testing::Test {
  protected:
@@ -214,19 +249,73 @@ TEST_F(ReplicationTest, ReplLogTruncationForcesSnapshot) {
   EXPECT_EQ(32u, records.back().log_seq);
 }
 
+TEST_F(ReplicationTest, ReplLogTrimsAckedRecords) {
+  repl::ReplLog log(1 << 20);
+  log.Ack("f1", 0);  // two registered followers, both at 0
+  log.Ack("f2", 0);
+  for (uint64_t i = 1; i <= 4; i++) log.Append("rec", i * 10);
+  // f2 still at 0 holds every record back.
+  log.Ack("f1", 3);
+  EXPECT_EQ(1u, log.start_seq());
+  EXPECT_EQ(12u, log.resident_bytes());
+  // Both past record 2: records 1 and 2 serve nobody and go.
+  log.Ack("f2", 2);
+  EXPECT_EQ(3u, log.start_seq());
+  EXPECT_EQ(6u, log.resident_bytes());
+
+  // A fetch past the trim serves the rest; one behind it must bootstrap.
+  std::vector<repl::ReplLog::Record> records;
+  uint64_t head = 0;
+  ASSERT_TRUE(log.Fetch(3, 100, &records, &head).ok());
+  ASSERT_EQ(2u, records.size());
+  EXPECT_EQ(3u, records[0].log_seq);
+  EXPECT_TRUE(log.Fetch(2, 100, &records, &head).IsNotFound());
+
+  // A wait on a trimmed record stays pinned to it: db seq 20 lives in
+  // record 2, which both followers acked. Falling through to the first
+  // survivor (record 3, acked by f1 only) would leave it pending.
+  const uint64_t run = log.run_id();
+  EXPECT_TRUE(log.WaitCommit(20, 2, 0).ok());
+  EXPECT_EQ(repl::ReplLog::CommitState::kAcked, log.CheckCommit(20, 2, run));
+  EXPECT_EQ(repl::ReplLog::CommitState::kPending,
+            log.CheckCommit(30, 2, run));
+  EXPECT_EQ(repl::ReplLog::CommitState::kReset,
+            log.CheckCommit(30, 2, run ^ 1));
+
+  // Everything acked: nothing stays resident, and a caught-up cursor
+  // still fetches (nothing).
+  log.Ack("f1", 4);
+  log.Ack("f2", 4);
+  EXPECT_EQ(0u, log.resident_bytes());
+  EXPECT_EQ(5u, log.start_seq());
+  EXPECT_TRUE(log.WaitCommit(40, 2, 0).ok());
+  ASSERT_TRUE(log.Fetch(5, 100, &records, &head).ok());
+  EXPECT_TRUE(records.empty());
+  EXPECT_EQ(4u, head);
+
+  // A newly registered follower at 0 blocks trimming again.
+  log.Ack("f3", 0);
+  log.Append("new", 50);
+  log.Ack("f1", 5);
+  log.Ack("f2", 5);
+  EXPECT_EQ(5u, log.start_seq());
+  EXPECT_EQ(3u, log.resident_bytes());
+}
+
 TEST_F(ReplicationTest, ReplLogWaitAcked) {
   repl::ReplLog log(1 << 20);
   log.Append("a", 1);
   // needed == 0: immediate OK (AckPolicy::kNone / no replicas).
-  EXPECT_TRUE(log.WaitAcked(1, 0, 0).ok());
-  // Nobody acks: Busy after the timeout.
-  EXPECT_TRUE(log.WaitAcked(1, 1, 50).IsBusy());
+  EXPECT_TRUE(log.WaitCommit(1, 0, 0).ok());
+  // Nobody acks: Busy after the timeout. db seq 0 waits on the newest
+  // record, as a caller without its own commit seq does.
+  EXPECT_TRUE(log.WaitCommit(0, 1, 50).IsBusy());
   // A concurrent ack wakes the waiter.
   std::thread acker([&log] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     log.Ack("f1", 1);
   });
-  EXPECT_TRUE(log.WaitAcked(1, 1, 2000).ok());
+  EXPECT_TRUE(log.WaitCommit(0, 1, 2000).ok());
   acker.join();
 }
 
@@ -279,7 +368,7 @@ TEST_F(ReplicationTest, ReplLogResetWakesWaitersDistinctly) {
   resetter.join();
   EXPECT_TRUE(s.IsIOError()) << s.ToString();
   EXPECT_FALSE(s.IsBusy());
-  Status s2 = log.WaitAcked(1, 1, 50);
+  Status s2 = log.WaitCommit(0, 1, 50);
   EXPECT_TRUE(s2.IsBusy());  // post-reset waits time out normally
 }
 
@@ -917,6 +1006,273 @@ TEST_F(ReplicationTest, PrimaryRestartWithFreshLogForcesBootstrap) {
     EXPECT_TRUE(follower.db->Get(Key(i), &value).IsNotFound())
         << "stale pre-restart key survived: " << i;
   }
+}
+
+// Parked writes (docs/REPLICATION.md "Threading"). --------------------
+
+// No server thread blocks on a follower: while a write waits for acks
+// that do not come, another connection on the same (only) worker gets
+// its PING and GET answered at once.
+TEST_F(ReplicationTest, ParkedWriteLeavesOtherConnectionsServed) {
+  constexpr int kAckTimeoutMs = 10'000;
+  Node primary;
+  StartUnackedPrimary(&primary, kAckTimeoutMs);
+  net::Client writer;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", primary.server->port()).ok());
+  Status put;
+  std::thread parked([&] { put = writer.Put("parked", "v"); });
+  ASSERT_TRUE(WaitForCommit(primary.hub.get()));
+
+  net::Client reader;
+  ASSERT_TRUE(reader.Connect("127.0.0.1", primary.server->port()).ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(reader.Ping().ok());
+  std::string value;
+  EXPECT_TRUE(reader.Get("other", &value).IsNotFound());
+  EXPECT_LT(MsSince(t0), kAckTimeoutMs / 10);
+
+  primary.server->Stop();  // answers nothing more: the writer sees EOF
+  parked.join();
+  EXPECT_FALSE(put.ok());
+}
+
+// Parking keeps a connection's order: a pipelined GET behind a parked
+// PUT runs only after it, and sees it; responses come in request order.
+TEST_F(ReplicationTest, PipelinedRequestsBehindParkedWriteKeepOrder) {
+  const uint16_t follower_port = PickPort();
+  Node primary;
+  repl::ReplOptions popts;
+  popts.ack = repl::AckPolicy::kQuorum;
+  popts.ack_timeout_ms = 10'000;
+  popts.replicas = {"127.0.0.1:" + std::to_string(follower_port)};
+  primary.Start(popts, 0);
+  Node follower;
+  repl::ReplOptions fopts;
+  fopts.primary_endpoint = primary.endpoint;
+  follower.Start(fopts, follower_port);
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", primary.server->port()).ok());
+  ASSERT_TRUE(PutAcked(&client, "warm", "up").ok());  // follower in sync
+  const uint64_t put1 = client.SubmitPut("k", "v1");
+  const uint64_t get = client.SubmitGet("k");
+  const uint64_t put2 = client.SubmitPut("k2", "v2");
+  std::vector<net::Client::Result> results;
+  ASSERT_TRUE(client.WaitAll(&results).ok());
+  ASSERT_EQ(3u, results.size());
+  EXPECT_EQ(put1, results[0].id);
+  EXPECT_EQ(get, results[1].id);
+  EXPECT_EQ(put2, results[2].id);
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  ASSERT_TRUE(results[1].status.ok()) << results[1].status.ToString();
+  EXPECT_EQ("v1", results[1].value);
+  EXPECT_TRUE(results[2].status.ok()) << results[2].status.ToString();
+  // Quorum-acked: the follower applied both writes before the OKs.
+  std::string value;
+  ASSERT_TRUE(follower.db->Get("k", &value).ok());
+  EXPECT_EQ("v1", value);
+  ASSERT_TRUE(follower.db->Get("k2", &value).ok());
+  EXPECT_EQ("v2", value);
+  // Its one registered follower acked every record, so the primary's log
+  // holds none; the follower's own outbound log never grew.
+  EXPECT_EQ(0u, primary.hub->log(0)->resident_bytes());
+  EXPECT_EQ(0u, follower.hub->log(0)->head_seq());
+}
+
+// A parked write whose acks never come answers REPL_TIMEOUT at its
+// deadline (the event loop's wait is bounded by it), and its slow-log
+// entry puts the wait in the req.repl stage, not in req.db.
+TEST_F(ReplicationTest, ParkedWriteTimesOutIntoReplStage) {
+  constexpr int kAckTimeoutMs = 150;
+  Node primary;
+  StartUnackedPrimary(&primary, kAckTimeoutMs);
+  net::Client writer;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", primary.server->port()).ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  Status put = writer.Put("parked", "v");
+  EXPECT_TRUE(put.IsBusy()) << put.ToString();
+  EXPECT_EQ(net::kReplTimeout, writer.last_wire_code());
+  EXPECT_GE(MsSince(t0), kAckTimeoutMs);
+  EXPECT_EQ(1u, primary.db->metrics()->GetCounter("repl.ack_timeouts")->value());
+
+  const std::vector<obs::SlowLogEntry> slow =
+      primary.server->slow_log()->Snapshot();
+  ASSERT_EQ(1u, slow.size());
+  uint64_t repl_us = 0;
+  uint64_t db_us = 0;
+  for (int i = 0; i < slow[0].num_stages; i++) {
+    const std::string name = slow[0].stages[i].name;
+    if (name == "req.repl") repl_us = slow[0].stages[i].us;
+    if (name == "req.db") db_us = slow[0].stages[i].us;
+  }
+  EXPECT_GE(repl_us, kAckTimeoutMs * 1000u);
+  EXPECT_LT(db_us, repl_us);
+}
+
+// A promotion resets the log a parked write waits on: the write is
+// answered REPL_TIMEOUT at once (counted in repl.ack_resets), not after
+// the ack timeout.
+TEST_F(ReplicationTest, PromotionResetAnswersParkedWrite) {
+  constexpr int kAckTimeoutMs = 10'000;
+  Node primary;
+  StartUnackedPrimary(&primary, kAckTimeoutMs);
+  net::Client writer;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", primary.server->port()).ok());
+  Status put;
+  std::thread parked([&] { put = writer.Put("parked", "v"); });
+  ASSERT_TRUE(WaitForCommit(primary.hub.get()));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  net::Client admin;
+  ASSERT_TRUE(admin.Connect("127.0.0.1", primary.server->port()).ok());
+  uint64_t epoch = 0;
+  ASSERT_TRUE(admin.Promote(0, &epoch).ok());
+  parked.join();
+  EXPECT_LT(MsSince(t0), kAckTimeoutMs / 2);
+  EXPECT_TRUE(put.IsBusy()) << put.ToString();
+  EXPECT_EQ(net::kReplTimeout, writer.last_wire_code());
+  auto* m = primary.db->metrics();
+  EXPECT_EQ(1u, m->GetCounter("repl.ack_resets")->value());
+  EXPECT_EQ(0u, m->GetCounter("repl.ack_timeouts")->value());
+}
+
+// Stopping the server drops a parked write with its connection; Stop()
+// does not wait out the ack timeout.
+TEST_F(ReplicationTest, StopWithParkedWriteReturnsPromptly) {
+  constexpr int kAckTimeoutMs = 30'000;
+  Node primary;
+  StartUnackedPrimary(&primary, kAckTimeoutMs);
+  net::Client writer;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", primary.server->port()).ok());
+  Status put;
+  std::thread parked([&] { put = writer.Put("parked", "v"); });
+  ASSERT_TRUE(WaitForCommit(primary.hub.get()));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  primary.server->Stop();
+  EXPECT_LT(MsSince(t0), kAckTimeoutMs / 10);
+  parked.join();
+  EXPECT_FALSE(put.ok());
+}
+
+// The follower pulls every shard over one connection. With shard 0 idle
+// its fetch there is held — but an append to shard 1 releases it, so
+// quorum writes to shard 1 never wait out the hold.
+TEST_F(ReplicationTest, IdleShardFetchHoldDoesNotDelayOtherShard) {
+  constexpr uint32_t kShards = 2;
+  net::ShardMap map;
+  map.num_shards = kShards;
+  net::ShardRouter router;
+  ASSERT_TRUE(net::ShardRouter::Build(map, &router).ok());
+  struct Side {
+    std::vector<std::unique_ptr<PmemEnv>> envs;
+    std::vector<std::unique_ptr<DB>> dbs;
+    std::vector<DB*> ptrs;
+    std::unique_ptr<repl::ReplHub> hub;
+    std::unique_ptr<net::Server> server;
+    ~Side() {
+      if (server) server->Stop();
+      if (hub) hub->Stop();
+      for (DB* db : ptrs) db->WaitIdle();
+    }
+  };
+  auto start = [&](Side* side, const repl::ReplOptions& ropts,
+                   uint16_t port) {
+    CacheKVOptions dbopts = TestDb();
+    for (uint32_t i = 0; i < kShards; i++) {
+      side->envs.push_back(
+          std::make_unique<PmemEnv>(TestEnv(dbopts.pool_bytes)));
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(side->envs.back().get(), dbopts, false, &db).ok());
+      side->ptrs.push_back(db.get());
+      side->dbs.push_back(std::move(db));
+    }
+    side->hub = std::make_unique<repl::ReplHub>(ropts, side->ptrs);
+    side->hub->AttachCommitHooks();
+    net::ServerOptions sopts;
+    sopts.port = port;
+    sopts.repl = side->hub.get();
+    side->server = std::make_unique<net::Server>(side->ptrs, router, sopts);
+    ASSERT_TRUE(side->server->Start().ok());
+    side->hub->SetSelfEndpoint("127.0.0.1:" +
+                               std::to_string(side->server->port()));
+    side->hub->Start();
+  };
+  // Declared first so it stops last: the follower's pulls end first.
+  Side primary;
+  Side follower;
+  const uint16_t follower_port = PickPort();
+  repl::ReplOptions popts;
+  popts.ack = repl::AckPolicy::kQuorum;
+  popts.ack_timeout_ms = 10'000;
+  popts.replicas = {"127.0.0.1:" + std::to_string(follower_port)};
+  start(&primary, popts, 0);
+  repl::ReplOptions fopts;
+  fopts.primary_endpoint =
+      "127.0.0.1:" + std::to_string(primary.server->port());
+  start(&follower, fopts, follower_port);
+
+  std::vector<std::string> shard1_keys;
+  for (int i = 0; shard1_keys.size() < 21; i++) {
+    const std::string key = "idle-" + std::to_string(i);
+    if (router.ShardOf(key) == 1) shard1_keys.push_back(key);
+  }
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", primary.server->port()).ok());
+  ASSERT_TRUE(PutAcked(&client, shard1_keys[0], "warm").ok());
+  std::vector<int64_t> ms;
+  for (size_t i = 1; i < shard1_keys.size(); i++) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Put(shard1_keys[i], "v").ok()) << i;
+    ms.push_back(MsSince(t0));
+  }
+  std::sort(ms.begin(), ms.end());
+  // Waiting out a hold costs about kFetchHoldMs per write.
+  EXPECT_LT(ms[ms.size() / 2], repl::kFetchHoldMs / 2)
+      << "median quorum PUT on shard 1 waited out the shard-0 hold";
+}
+
+// Concurrent quorum writers on two workers: every ack, append and
+// reset wakes the workers with parked writes, whichever thread it runs
+// on. A wake lost to a race leaves parked writes waiting for the next
+// poll tick (hundreds of ms) instead of the ack.
+TEST_F(ReplicationTest, ConcurrentQuorumWritersAreWokenByEveryAck) {
+  const uint16_t follower_port = PickPort();
+  Node primary;
+  repl::ReplOptions popts;
+  popts.ack = repl::AckPolicy::kQuorum;
+  popts.ack_timeout_ms = 10'000;
+  popts.replicas = {"127.0.0.1:" + std::to_string(follower_port)};
+  primary.Start(popts, 0);
+  Node follower;
+  repl::ReplOptions fopts;
+  fopts.primary_endpoint = primary.endpoint;
+  follower.Start(fopts, follower_port);
+
+  constexpr int kWriters = 4;
+  constexpr int kPutsPerWriter = 150;
+  std::vector<std::vector<int64_t>> ms(kWriters);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; t++) {
+    writers.emplace_back([&, t] {
+      net::Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", primary.server->port()).ok());
+      for (int i = 0; i < kPutsPerWriter; i++) {
+        const auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(PutAcked(&client, Key(t * kPutsPerWriter + i), Value(i))
+                        .ok());
+        ms[t].push_back(MsSince(t0));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  std::vector<int64_t> all;
+  for (const auto& v : ms) all.insert(all.end(), v.begin(), v.end());
+  ASSERT_EQ(static_cast<size_t>(kWriters * kPutsPerWriter), all.size());
+  std::sort(all.begin(), all.end());
+  // A missed wake-up costs up to the event loop's 500 ms idle tick.
+  EXPECT_LT(all[all.size() * 9 / 10], 250)
+      << "p90 quorum PUT latency: parked writes missed their wake-ups";
 }
 
 }  // namespace

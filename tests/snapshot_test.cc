@@ -539,12 +539,14 @@ TEST_F(ShardedSnapshotTest, CrossShardScanIsOneConsistentCut) {
   // Writers churn every key to later generations while we read the cut.
   std::atomic<bool> stop{false};
   std::atomic<int> write_failures{0};
+  std::atomic<int> first_passes{0};  // writers done with generation 1
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; t++) {
     writers.emplace_back([&, t] {
       net::ShardedClient w;
       if (!w.Connect("127.0.0.1", server_->port()).ok()) {
         write_failures.fetch_add(1);
+        first_passes.fetch_add(1);
         return;
       }
       int gen = 1;
@@ -556,6 +558,7 @@ TEST_F(ShardedSnapshotTest, CrossShardScanIsOneConsistentCut) {
             write_failures.fetch_add(1);
           }
         }
+        if (gen == 1) first_passes.fetch_add(1);
         gen++;
       }
     });
@@ -582,6 +585,14 @@ TEST_F(ShardedSnapshotTest, CrossShardScanIsOneConsistentCut) {
     EXPECT_EQ("gen0-" + std::to_string(i), got);
   }
 
+  // Every key must have been overwritten at least once before the
+  // writers stop; on a loaded host the scans above can finish first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (first_passes.load() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   stop.store(true);
   for (auto& th : writers) th.join();
   EXPECT_EQ(0, write_failures.load());
