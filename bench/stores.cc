@@ -3,7 +3,6 @@
 #include "baselines/novelsm.h"
 #include "baselines/slmdb.h"
 #include "core/options.h"
-#include "lsm/lsm_kv.h"
 
 namespace cachekv {
 namespace bench {
@@ -28,8 +27,6 @@ std::string SystemName(SystemKind kind) {
       return "SLM-DB-w/o-flush";
     case SystemKind::kSlmDbCache:
       return "SLM-DB-cache";
-    case SystemKind::kLsmKv:
-      return "LsmKv";
   }
   return "unknown";
 }
@@ -129,14 +126,6 @@ Status MakeStore(SystemKind kind, const StoreConfig& config,
       opts.bptree_bytes = 512ull << 20;
       std::unique_ptr<SlmDbStore> store;
       Status s = SlmDbStore::Open(bundle->env.get(), opts, &store);
-      if (!s.ok()) return s;
-      bundle->store = std::move(store);
-      return Status::OK();
-    }
-    case SystemKind::kLsmKv: {
-      LsmKvOptions opts;
-      std::unique_ptr<LsmKv> store;
-      Status s = LsmKv::Open(bundle->env.get(), opts, false, &store);
       if (!s.ok()) return s;
       bundle->store = std::move(store);
       return Status::OK();

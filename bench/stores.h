@@ -24,7 +24,6 @@ enum class SystemKind {
   kSlmDb,
   kSlmDbNoFlush,
   kSlmDbCache,
-  kLsmKv,  // reference LevelDB-on-PMem
 };
 
 std::string SystemName(SystemKind kind);

@@ -251,19 +251,33 @@ void CacheSim::NtStore(uint64_t addr, const void* src, size_t len) {
     const uint64_t line = AlignDown(pos, kCacheLineSize);
     const size_t off = static_cast<size_t>(pos - line);
     const size_t chunk = std::min(remaining, kCacheLineSize - off);
-    char merged[kCacheLineSize];
-    bool have_base = false;
-
+    // The device latency is charged outside the line's lock.
+    stats_.nt_lines.fetch_add(1, std::memory_order_relaxed);
+    if (latency_ != nullptr) latency_->ChargeNtStore(1);
     // Fold in (and invalidate) any cached copy so coherence is preserved.
+    // The line's lock is held until the device has the merged line:
+    // released earlier, a concurrent Load could refill the stale line, or
+    // a concurrent partial NtStore could merge into the old bytes and
+    // undo this one. WithLine calls the device under the same lock.
+    auto write_line = [&](const char* cached) {
+      char merged[kCacheLineSize];
+      if (cached != nullptr) {
+        memcpy(merged, cached, kCacheLineSize);
+      } else if (chunk < kCacheLineSize) {
+        device_->Read(line, merged, kCacheLineSize);
+      }
+      memcpy(merged + off, in, chunk);
+      device_->ReceiveLine(line, merged, /*non_temporal=*/true);
+    };
     if (InLocked(line)) {
       size_t idx = static_cast<size_t>(
           ((line - locked_window_base()) / kCacheLineSize) %
           locked_.size());
       std::lock_guard<std::mutex> lock(LockedMutex(idx));
       LockedLine& l = locked_[idx];
-      if (l.valid && l.addr == line) {
-        memcpy(merged, l.data, kCacheLineSize);
-        have_base = true;
+      const bool cached = l.valid && l.addr == line;
+      write_line(cached ? l.data : nullptr);
+      if (cached) {
         l.valid = false;
         l.dirty = false;
       }
@@ -271,25 +285,18 @@ void CacheSim::NtStore(uint64_t addr, const void* src, size_t len) {
       size_t set = SetOf(line);
       std::lock_guard<std::mutex> lock(SetMutex(set));
       Way* base = &ways_[set * config_.ways];
-      for (int i = 0; i < config_.ways; i++) {
-        Way& w = base[i];
-        if (w.valid && w.addr == line) {
-          memcpy(merged, w.data, kCacheLineSize);
-          have_base = true;
-          w.valid = false;
-          w.dirty = false;
-          break;
+      Way* way = nullptr;
+      for (int i = 0; i < config_.ways && way == nullptr; i++) {
+        if (base[i].valid && base[i].addr == line) {
+          way = &base[i];
         }
       }
+      write_line(way != nullptr ? way->data : nullptr);
+      if (way != nullptr) {
+        way->valid = false;
+        way->dirty = false;
+      }
     }
-    if (!have_base && chunk < kCacheLineSize) {
-      device_->Read(line, merged, kCacheLineSize);
-      have_base = true;
-    }
-    memcpy(merged + off, in, chunk);
-    stats_.nt_lines.fetch_add(1, std::memory_order_relaxed);
-    if (latency_ != nullptr) latency_->ChargeNtStore(1);
-    device_->ReceiveLine(line, merged, /*non_temporal=*/true);
 
     in += chunk;
     pos += chunk;

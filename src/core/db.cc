@@ -1,7 +1,6 @@
 #include "core/db.h"
 
 #include <algorithm>
-#include <array>
 #include <thread>
 
 #include "core/record_format.h"
@@ -159,7 +158,7 @@ Status DB::Open(PmemEnv* env, const CacheKVOptions& options, bool recover,
       return s;
     }
     d->zone_->Compact();
-    d->sequence_.store(max_seq, std::memory_order_release);
+    d->sequencer_.Reset(max_seq);
     d->flushed_hwm_.store(d->zone_->MaxSequence(),
                           std::memory_order_release);
     d->l0_hwm_.store(d->engine_->LastSequence(),
@@ -365,44 +364,6 @@ Status DB::AppendRecords(int core, const Slice& records, uint32_t count) {
       "records do not fit any available sub-memtable");
 }
 
-SequenceNumber DB::AllocSeqBlock(size_t n) {
-  if (!commit_hook_) {
-    return sequence_.fetch_add(n, std::memory_order_acq_rel) + 1;
-  }
-  // Reservation and in-flight registration must be atomic: a later
-  // block registered before an earlier one would let the dispatcher
-  // release the later block's hook first.
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  const SequenceNumber first =
-      sequence_.fetch_add(n, std::memory_order_acq_rel) + 1;
-  hook_inflight_.insert(first);
-  return first;
-}
-
-void DB::DispatchCommitHook(SequenceNumber first_seq,
-                            SequenceNumber last_seq,
-                            const std::vector<BatchOp>* ops) {
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  hook_inflight_.erase(first_seq);
-  if (ops != nullptr) {
-    if (hook_pending_.empty() &&
-        (hook_inflight_.empty() || first_seq < *hook_inflight_.begin())) {
-      // Every earlier block has settled: fire in place, no copy.
-      commit_hook_(*ops, last_seq);
-    } else {
-      hook_pending_.emplace(first_seq, PendingHook{*ops, last_seq});
-    }
-  }
-  // Settle buffered successors this block (or this failure) unblocked.
-  while (!hook_pending_.empty() &&
-         (hook_inflight_.empty() ||
-          hook_pending_.begin()->first < *hook_inflight_.begin())) {
-    PendingHook pending = std::move(hook_pending_.begin()->second);
-    hook_pending_.erase(hook_pending_.begin());
-    commit_hook_(pending.ops, pending.last_seq);
-  }
-}
-
 bool DB::ShouldSeparate(const Slice& key, const Slice& value) const {
   return options_.value_separation_threshold > 0 &&
          value.size() >= options_.value_separation_threshold &&
@@ -410,6 +371,26 @@ bool DB::ShouldSeparate(const Slice& key, const Slice& value) const {
 }
 
 namespace {
+
+/// Settles a reserved sequence block on every exit path, as committed with
+/// `ops` (for the hook; null for a GC relocation) once `committed` is set.
+/// Vlog records of a failed write are orphans, credited back as dead.
+struct SettleBlock {
+  Sequencer* sequencer;
+  ValueLog* vlog;
+  Sequencer::Block* block;
+  const std::vector<KVStore::BatchOp>* ops = nullptr;
+  bool committed = false;
+  std::vector<std::pair<ValuePointer, size_t>> appended = {};  // + key len
+  ~SettleBlock() {
+    if (!committed) {
+      for (const auto& [ptr, key_len] : appended) {
+        vlog->AddDeadBytes(ptr, key_len);
+      }
+    }
+    sequencer->Settle(block, committed ? ops : nullptr);
+  }
+};
 
 /// A single-key write as a one-op batch. The batch is per thread and
 /// reused, so a steady stream of Puts allocates nothing here; nothing
@@ -474,37 +455,13 @@ Status DB::MultiPut(const std::vector<BatchOp>& batch,
   trace.AddArg("keys", batch.size());
   const int core = CoreOf();
   std::lock_guard<std::mutex> core_lock(core_mu_[core % kMaxCoreLocks]);
-  // The sequence block is reserved while the core lock is held so the
-  // vlog GC's write fence (all core locks) can rely on: any writer not
-  // currently holding a core lock will sequence AFTER a fenced GC
-  // relocation, and any writer inside the fence has published.
-  const SequenceNumber first_seq = AllocSeqBlock(batch.size());
-  const SequenceNumber last_seq = first_seq + batch.size() - 1;
-  // Every exit below must settle the reserved block with the hook
-  // dispatcher — a block that never settles would stall the hooks of
-  // all later writes. `ops` stays null on the failure paths. Vlog
-  // records appended for a batch that then fails to commit are orphans:
-  // credit them back as dead bytes so GC reclaims them.
-  struct SettleBlock {
-    DB* db;
-    SequenceNumber first, last;
-    const std::vector<BatchOp>* ops = nullptr;
-    bool armed;
-    std::vector<std::pair<ValuePointer, size_t>> appended;  // + key size
-    bool committed = false;
-    ~SettleBlock() {
-      if (!committed) {
-        for (const auto& [ptr, key_len] : appended) {
-          db->vlog_->AddDeadBytes(ptr, key_len);
-        }
-      }
-      if (armed) db->DispatchCommitHook(first, last, ops);
-    }
-  } settle{this, first_seq, last_seq, nullptr,
-           commit_hook_ != nullptr};
+  // Reserved under the core lock, so the records of one sub-MemTable stay
+  // in sequence order, and settled before it is released.
+  SettleBlock settle{&sequencer_, vlog_.get(),
+                     sequencer_.Reserve(batch.size()), &batch};
   std::string records;
   records.reserve(encoded_bound);
-  SequenceNumber seq = first_seq;
+  SequenceNumber seq = settle.block->first;
   for (const BatchOp& op : batch) {
     if (separate(op)) {
       // The value must be durable in the log before the batch's
@@ -532,13 +489,12 @@ Status DB::MultiPut(const std::vector<BatchOp>& batch,
     return s;
   }
   settle.committed = true;
-  settle.ops = &batch;
   ingest_bytes_->fetch_add(ingest_bytes);
   if (!settle.appended.empty()) {
     separated_puts_->Increment(settle.appended.size());
   }
   if (committed_seq != nullptr) {
-    *committed_seq = last_seq;
+    *committed_seq = settle.block->last;
   }
   return s;
 }
@@ -555,20 +511,18 @@ uint64_t DB::ApproxMultiPutCapacityBytes() const {
 }
 
 const DB::Snapshot* DB::GetSnapshot() {
-  // Global write fence (all core locks): no writer sits between its
-  // sequence allocation and its sub-memtable publish, so every sequence
-  // <= the pin is committed and the snapshot view is stable from the
-  // first read on.
-  std::array<std::unique_lock<std::mutex>, kMaxCoreLocks> fence;
-  for (int i = 0; i < kMaxCoreLocks; i++) {
-    fence[i] = std::unique_lock<std::mutex>(core_mu_[i]);
-  }
-  std::lock_guard<std::mutex> lock(snapshots_mu_);
+  // Pin the last reserved sequence (not the watermark, which a later
+  // write can outrun into a flushed table), read with the insert under
+  // one lock: a flush or compaction pass sees the pin or took only inputs
+  // at or below it. RelocateForGc takes this lock mid-block: wait outside.
+  std::unique_lock<std::mutex> lock(snapshots_mu_);
   if (pinned_snapshots_.size() >= options_.max_pinned_snapshots) {
     return nullptr;
   }
   const SequenceNumber seq = LastSequence();
   pinned_snapshots_.insert(seq);
+  lock.unlock();
+  sequencer_.WaitVisible(seq);
   snap_pins_->Increment();
   trace_.Instant("snapshot.pin", "seq", seq);
   return new Snapshot(seq);
@@ -883,14 +837,15 @@ Status DB::RelocateForGc(SequenceNumber record_seq, const Slice& key,
   if (!gate.ok()) {
     return gate;
   }
-  // Global write fence: with every core lock held, no write is between
-  // its AllocSeqBlock and its sub-memtable publish, so the SearchRaw
-  // probe below sees the latest committed version of `key` and no
-  // concurrent writer can commit an older-seq entry after we probe.
-  std::array<std::unique_lock<std::mutex>, kMaxCoreLocks> fence;
-  for (int i = 0; i < kMaxCoreLocks; i++) {
-    fence[i] = std::unique_lock<std::mutex>(core_mu_[i]);
-  }
+  // Sequenced like a write on this thread's core slot: the probe sees
+  // every write below `seq`, and every later one shadows the relocation.
+  // The wait cannot deadlock: an unsettled block below `seq` belongs to
+  // another slot, whose writer never needs this slot's lock.
+  const int core = CoreOf();
+  std::lock_guard<std::mutex> core_lock(core_mu_[core % kMaxCoreLocks]);
+  SettleBlock settle{&sequencer_, vlog_.get(), sequencer_.Reserve(1)};
+  const SequenceNumber seq = settle.block->first;
+  sequencer_.WaitVisible(seq - 1);
   RawResult r;
   Status s = SearchRaw(key, &r);
   if (!s.ok()) {
@@ -924,45 +879,32 @@ Status DB::RelocateForGc(SequenceNumber record_seq, const Slice& key,
     }
     return Status::OK();
   }
-  const SequenceNumber seq = AllocSeqBlock(1);
   ValuePointer new_ptr;
   s = vlog_->Append(seq, key, value, &new_ptr);
-  if (s.ok()) {
-    std::string encoded_ptr;
-    EncodeValuePointer(&encoded_ptr, new_ptr);
-    std::string record;
-    EncodeRecord(&record, seq, kTypeValuePointer, key, Slice(encoded_ptr));
-    s = AppendRecords(0, Slice(record), 1);
-    if (!s.ok()) {
-      vlog_->AddDeadBytes(new_ptr, key.size());  // orphaned copy
-    }
+  if (!s.ok()) {
+    return s;
   }
-  std::vector<BatchOp> ops;
-  if (s.ok()) {
-    *relocated = true;
-    // Pins in [record_seq, seq) still resolve the OLD pointer (the
-    // record was the freshest version of the key until this relocation
-    // committed at `seq`): the victim segment must survive until they
-    // release. Pins created later sequence at or above `seq` — the
-    // write fence blocks GetSnapshot() — and see the new pointer.
-    {
-      std::lock_guard<std::mutex> snap_lock(snapshots_mu_);
-      auto it = pinned_snapshots_.lower_bound(record_seq);
-      if (it != pinned_snapshots_.end() && *it < seq) {
-        *snapshot_pinned = true;
-      }
-    }
-    // Followers replay user-visible ops, so the hook carries the value
-    // itself — on the far side this is a benign same-bytes overwrite.
-    BatchOp op;
-    op.key = key.ToString();
-    op.value = value.ToString();
-    ops.push_back(std::move(op));
+  settle.appended.emplace_back(new_ptr, key.size());
+  std::string encoded_ptr;
+  EncodeValuePointer(&encoded_ptr, new_ptr);
+  std::string record;
+  EncodeRecord(&record, seq, kTypeValuePointer, key, Slice(encoded_ptr));
+  s = AppendRecords(core, Slice(record), 1);
+  if (!s.ok()) {
+    return s;
   }
-  if (commit_hook_) {
-    DispatchCommitHook(seq, seq, s.ok() ? &ops : nullptr);
-  }
-  return s;
+  settle.committed = true;
+  *relocated = true;
+  // Pins in [record_seq, seq) still resolve the OLD pointer (the record
+  // was the freshest version of the key until this relocation committed
+  // at `seq`): the victim segment must survive until they release. A pin
+  // missing from the set read LastSequence() after this block was
+  // reserved, so it sits at or above `seq` and, its GetSnapshot having
+  // waited for this block, sees the new pointer.
+  std::lock_guard<std::mutex> snap_lock(snapshots_mu_);
+  auto it = pinned_snapshots_.lower_bound(record_seq);
+  *snapshot_pinned = it != pinned_snapshots_.end() && *it < seq;
+  return Status::OK();
 }
 
 void DB::ScheduleSync(const std::shared_ptr<ActiveTable>& table) {
@@ -1053,6 +995,9 @@ Status DB::CopyFlushOne(std::shared_ptr<ActiveTable> sealed) {
         std::remove(live_tables_.begin(), live_tables_.end(), sealed),
         live_tables_.end());
   }
+  // A sync request still queued for this table must not replay the
+  // slot's next occupant against the zone copy.
+  sealed->index->Retire();
   s = pool_->Release(sealed->table);
   if (!s.ok()) {
     // The data is already safe in the zone; a directory mismatch here

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -19,6 +18,7 @@
 #include "core/bg_error_manager.h"
 #include "core/flushed_zone.h"
 #include "core/options.h"
+#include "core/sequencer.h"
 #include "core/sub_memtable.h"
 #include "core/sub_memtable_pool.h"
 #include "core/sub_skiplist.h"
@@ -111,10 +111,11 @@ class DB : public KVStore {
     const SequenceNumber sequence_;
   };
 
-  /// Pins the current last-committed sequence number: flush, compaction,
-  /// and vlog GC retain every version the pin can still resolve until it
-  /// is released. Returns null when max_pinned_snapshots pins are
-  /// already live (the caller should back off or release one).
+  /// Pins the last reserved sequence number, returning once every write
+  /// at or below it has settled (no writer is stopped, and a batch is one
+  /// sequence block, never split). Flush, compaction, and vlog GC retain
+  /// every version the pin can resolve until it is released. Returns null
+  /// when max_pinned_snapshots pins are live (back off or release one).
   const Snapshot* GetSnapshot();
 
   /// Unpins and destroys `snapshot` (null is a no-op). Versions retained
@@ -196,30 +197,24 @@ class DB : public KVStore {
   /// replication layer taps this to append to the per-shard
   /// replication log (src/repl/).
   ///
-  /// Invocations are totally ordered by sequence number: when two
-  /// concurrent writes race (even to the same key), their hooks fire
-  /// in the order their sequence blocks were allocated, so a log built
-  /// from the hook replays to the same state the DB converged to. To
-  /// keep that order, a hook may run on a *different* writer's thread
-  /// than the one that committed the batch (the later-sequenced writer
-  /// that published first drains it). Hooks must be fast and
-  /// non-blocking.
-  using CommitHook =
-      std::function<void(const std::vector<BatchOp>& ops,
-                         SequenceNumber last_seq)>;
+  /// Invocations fire in sequence order, as the sequencer retires blocks,
+  /// so a log built from the hook replays racing same-key writes to the
+  /// state the DB converged to. A hook may run on the thread of whichever
+  /// writer settled the last earlier block. Hooks must be fast and
+  /// non-blocking. Vlog GC relocations fire none: a follower holds the
+  /// same value and runs its own GC.
+  using CommitHook = Sequencer::Hook;
 
-  /// Installs `hook` (empty disables). Not synchronized against
-  /// in-flight writes: set it before the DB starts serving.
-  void SetCommitHook(CommitHook hook) { commit_hook_ = std::move(hook); }
+  /// Installs `hook` (empty disables). Set it before the DB starts
+  /// serving: a write settled earlier is not replayed to it.
+  void SetCommitHook(CommitHook hook) { sequencer_.SetHook(std::move(hook)); }
 
   SubMemTablePool* pool() { return pool_.get(); }
   FlushedZone* zone() { return zone_.get(); }
   LsmEngine* engine() { return engine_.get(); }
   ValueLog* vlog() { return vlog_.get(); }
   VlogGc* vlog_gc() { return vlog_gc_.get(); }
-  SequenceNumber LastSequence() const {
-    return sequence_.load(std::memory_order_acquire);
-  }
+  SequenceNumber LastSequence() const { return sequencer_.last(); }
 
  private:
   /// An acquired sub-MemTable with its DRAM-side attachments.
@@ -265,15 +260,14 @@ class DB : public KVStore {
   /// True when a Put of (key, value) goes through the value log.
   bool ShouldSeparate(const Slice& key, const Slice& value) const;
 
-  /// GC relocation of one vlog record, under the global write fence (all
-  /// core locks, so no writer sits between sequence allocation and
-  /// publication). Re-appends `value` under a fresh sequence and commits
-  /// the new pointer iff the freshest committed version of `key` is
-  /// exactly `old_ptr`; otherwise the record is dead and *relocated
-  /// stays false. `record_seq` is the record's original sequence;
-  /// *snapshot_pinned reports whether a pinned snapshot still resolves
-  /// the old pointer (relocated or not), which blocks the segment's
-  /// unlink (docs/SNAPSHOTS.md).
+  /// GC relocation of one vlog record, sequenced like a write on the
+  /// calling thread's core slot (no commit hook fires): re-appends `value`
+  /// under a fresh sequence and commits the new pointer iff the freshest
+  /// committed version of `key` is exactly `old_ptr`; otherwise the record
+  /// is dead and *relocated stays false. `record_seq` is the record's
+  /// original sequence; *snapshot_pinned reports whether a pinned snapshot
+  /// still resolves the old pointer (relocated or not), which blocks the
+  /// segment's unlink (docs/SNAPSHOTS.md).
   Status RelocateForGc(SequenceNumber record_seq, const Slice& key,
                        const ValuePointer& old_ptr, const Slice& value,
                        bool* relocated, bool* snapshot_pinned);
@@ -282,19 +276,6 @@ class DB : public KVStore {
   /// publishes them with one header CAS, sealing and replacing the
   /// table when they do not fit. The caller holds the core's lock.
   Status AppendRecords(int core, const Slice& records, uint32_t count);
-  /// Reserves a block of `n` sequence numbers, returning the first.
-  /// With a commit hook installed the block is also registered as
-  /// in-flight (atomically with the reservation) so DispatchCommitHook
-  /// can order hook invocations across racing writers.
-  SequenceNumber AllocSeqBlock(size_t n);
-  /// Retires the in-flight block starting at `first_seq` and fires the
-  /// commit hook for it — in sequence order: a block that outran an
-  /// earlier writer is buffered until that writer publishes or fails.
-  /// `ops` == nullptr means the write failed after reserving its block
-  /// (the hook is skipped but successors it was blocking are drained).
-  void DispatchCommitHook(SequenceNumber first_seq,
-                          SequenceNumber last_seq,
-                          const std::vector<BatchOp>* ops);
   // Seals `current`, hands it to the flushers, and acquires a
   // replacement for `core` (waiting on the flushers when the pool is
   // exhausted). Returns the new table via metadata_[core].
@@ -353,25 +334,12 @@ class DB : public KVStore {
   obs::Counter* snap_releases_;
   obs::Counter* snap_retained_bytes_;
 
-  std::atomic<uint64_t> sequence_{0};
+  Sequencer sequencer_;  // every write's block; the visible watermark
 
   // Pinned snapshot sequence numbers (a multiset: concurrent pins can
   // land on the same sequence). Guarded by snapshots_mu_.
   mutable std::mutex snapshots_mu_;
   std::multiset<SequenceNumber> pinned_snapshots_;
-  CommitHook commit_hook_;
-
-  // Commit-hook ordering (engaged only while commit_hook_ is set).
-  // hook_inflight_ holds the first_seq of every reserved-but-unsettled
-  // sequence block; hook_pending_ buffers committed batches whose hook
-  // cannot fire yet because an earlier block is still in flight.
-  struct PendingHook {
-    std::vector<BatchOp> ops;
-    SequenceNumber last_seq;
-  };
-  std::mutex hook_mu_;
-  std::set<SequenceNumber> hook_inflight_;
-  std::map<SequenceNumber, PendingHook> hook_pending_;
 
   // Per-core assignments (the global metadata structure of Figure 7;
   // kept in DRAM to avoid PMem write amplification). Each slot is

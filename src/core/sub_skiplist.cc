@@ -50,7 +50,8 @@ Status SubSkiplist::SyncWithTable(const SubMemTable& table) {
   // Repeat the catch-up until the counters agree: the table may keep
   // absorbing writes while we sync (§III-B).
   for (;;) {
-    if (h.counter < list_counter()) {
+    if (retired_.load(std::memory_order_acquire) ||
+        h.counter < list_counter()) {
       // The slot was flushed, released, and recycled beneath a stale
       // sync request: this index is already final. Nothing to do.
       return Status::OK();
@@ -70,7 +71,7 @@ Status SubSkiplist::SyncTo(uint64_t target_counter, uint32_t target_tail) {
   std::lock_guard<std::mutex> lock(sync_mu_);
   uint64_t counter = list_counter_.load(std::memory_order_relaxed);
   uint32_t tail = list_tail_.load(std::memory_order_relaxed);
-  if (counter >= target_counter) {
+  if (retired_.load(std::memory_order_relaxed) || counter >= target_counter) {
     return Status::OK();
   }
   const uint64_t base = data_base();

@@ -68,6 +68,14 @@ class SubSkiplist {
   /// Loads the value of a candidate from the table data.
   Status ReadValue(const Candidate& candidate, std::string* value) const;
 
+  /// Marks the index final once its table's pool slot is about to be
+  /// released: later Sync* calls return OK without reading the slot,
+  /// whose next occupant has nothing to do with this index.
+  void Retire() {
+    std::lock_guard<std::mutex> lock(sync_mu_);
+    retired_.store(true, std::memory_order_release);
+  }
+
   /// Re-points the data region (copy-based flush relocation).
   void SetDataBase(uint64_t base) {
     data_base_.store(base, std::memory_order_release);
@@ -137,6 +145,7 @@ class SubSkiplist {
   std::atomic<uint64_t> list_counter_{0};
   std::atomic<uint32_t> list_tail_{0};
   std::atomic<uint64_t> max_sequence_{0};
+  std::atomic<bool> retired_{false};
 };
 
 }  // namespace cachekv

@@ -15,8 +15,8 @@
 namespace cachekv {
 
 /// DRAM-resident MemTable in the LevelDB style: an arena-backed skiplist
-/// of encoded entries. Used by the reference LSM store (LsmKv) and by the
-/// NoveLSM baseline's DRAM level.
+/// of encoded entries. Only tests use it, to build tables for the LSM
+/// engine, the merger, and the failure-injection cases.
 ///
 /// Thread-safety: one writer at a time (external synchronization), any
 /// number of concurrent readers.

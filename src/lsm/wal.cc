@@ -1,93 +1,15 @@
 #include "lsm/wal.h"
 
-#include "util/coding.h"
 #include "util/hash.h"
 
 namespace cachekv {
 
 namespace {
 constexpr uint32_t kCrcSeed = 0xdb97531;
-constexpr size_t kHeaderSize = 8;  // crc + len
 }  // namespace
 
 uint32_t WalCrc(const char* data, size_t len) {
   return Hash(data, len, kCrcSeed);
-}
-
-WalWriter::WalWriter(PmemEnv* env, uint64_t region_offset,
-                     uint64_t region_size, bool use_flush_instructions)
-    : env_(env),
-      region_offset_(region_offset),
-      region_size_(region_size),
-      cursor_(region_offset),
-      use_flush_(use_flush_instructions) {}
-
-Status WalWriter::AddRecord(const Slice& record) {
-  const uint64_t needed = kHeaderSize + record.size();
-  // Keep room for the trailing end marker.
-  if (cursor_ + needed + kHeaderSize >
-      region_offset_ + region_size_) {
-    return Status::OutOfSpace("wal region full");
-  }
-  char header[kHeaderSize];
-  EncodeFixed32(header, WalCrc(record.data(), record.size()));
-  EncodeFixed32(header + 4, static_cast<uint32_t>(record.size()));
-  env_->Store(cursor_, header, kHeaderSize);
-  env_->Store(cursor_ + kHeaderSize, record.data(), record.size());
-  if (use_flush_) {
-    env_->Clwb(cursor_, needed);
-    env_->Sfence();
-  }
-  cursor_ += needed;
-  // End marker (len == 0) after the last record; overwritten by the next
-  // append.
-  char zero[kHeaderSize] = {0};
-  env_->Store(cursor_, zero, kHeaderSize);
-  if (use_flush_) {
-    env_->Clwb(cursor_, kHeaderSize);
-    env_->Sfence();
-  }
-  return Status::OK();
-}
-
-void WalWriter::Reset() {
-  char zero[kHeaderSize] = {0};
-  env_->Store(region_offset_, zero, kHeaderSize);
-  if (use_flush_) {
-    env_->Clwb(region_offset_, kHeaderSize);
-    env_->Sfence();
-  }
-  cursor_ = region_offset_;
-}
-
-WalReader::WalReader(PmemEnv* env, uint64_t region_offset,
-                     uint64_t region_size)
-    : env_(env),
-      region_offset_(region_offset),
-      region_size_(region_size),
-      cursor_(region_offset) {}
-
-bool WalReader::ReadRecord(std::string* record) {
-  if (cursor_ + kHeaderSize > region_offset_ + region_size_) {
-    return false;
-  }
-  char header[kHeaderSize];
-  env_->Load(cursor_, header, kHeaderSize);
-  const uint32_t crc = DecodeFixed32(header);
-  const uint32_t len = DecodeFixed32(header + 4);
-  if (len == 0) {
-    return false;  // end marker
-  }
-  if (cursor_ + kHeaderSize + len > region_offset_ + region_size_) {
-    return false;  // would run off the region: treat as corrupt tail
-  }
-  record->resize(len);
-  env_->Load(cursor_ + kHeaderSize, record->data(), len);
-  if (WalCrc(record->data(), len) != crc) {
-    return false;  // torn or corrupt record
-  }
-  cursor_ += kHeaderSize + len;
-  return true;
 }
 
 }  // namespace cachekv

@@ -1,71 +1,14 @@
 #ifndef CACHEKV_LSM_WAL_H_
 #define CACHEKV_LSM_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "pmem/pmem_env.h"
-#include "util/slice.h"
-#include "util/status.h"
 
 namespace cachekv {
 
-/// Write-ahead log over a fixed PMem region, used by the reference LSM
-/// store (the "traditional LevelDB on PMem" configuration in Figure 2 of
-/// the paper). Record layout:
-///
-///   fixed32 crc   (of the payload, seeded)
-///   fixed32 len   (> 0; a zero len terminates the log)
-///   payload
-///
-/// Records are padded so a record header never straddles the region end.
-/// When `use_flush_instructions` is set (ADR platforms), every record is
-/// clwb'd and fenced; under eADR the stores alone are durable.
-class WalWriter {
- public:
-  WalWriter(PmemEnv* env, uint64_t region_offset, uint64_t region_size,
-            bool use_flush_instructions);
-
-  WalWriter(const WalWriter&) = delete;
-  WalWriter& operator=(const WalWriter&) = delete;
-
-  /// Appends one record; fails with OutOfSpace when the region is full.
-  Status AddRecord(const Slice& record);
-
-  /// Logically truncates the log (writes an end marker at the head).
-  void Reset();
-
-  uint64_t BytesUsed() const { return cursor_ - region_offset_; }
-
- private:
-  PmemEnv* env_;
-  uint64_t region_offset_;
-  uint64_t region_size_;
-  uint64_t cursor_;
-  bool use_flush_;
-};
-
-/// Reads back all complete records of a WAL region, in append order.
-class WalReader {
- public:
-  WalReader(PmemEnv* env, uint64_t region_offset, uint64_t region_size);
-
-  WalReader(const WalReader&) = delete;
-  WalReader& operator=(const WalReader&) = delete;
-
-  /// Reads the next record into *record. Returns false at end of log
-  /// (end marker, corrupt record, or region exhausted).
-  bool ReadRecord(std::string* record);
-
- private:
-  PmemEnv* env_;
-  uint64_t region_offset_;
-  uint64_t region_size_;
-  uint64_t cursor_;
-};
-
-/// Checksum used by the WAL and the manifest blocks.
+/// Seeded checksum of the store's CRC-framed records: the value-log
+/// frames, the manifest blocks, and the SSTable blocks and filters. The
+/// store keeps no write-ahead log; the name predates that.
 uint32_t WalCrc(const char* data, size_t len);
 
 }  // namespace cachekv

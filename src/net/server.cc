@@ -644,9 +644,9 @@ std::shared_ptr<Server::SnapshotEntry> Server::FindSnapshot(uint64_t id) {
 
 void Server::SweepSnapshots() {
   const auto now = std::chrono::steady_clock::now();
-  // Erase under the lock, destroy (release the DB pins) outside it:
-  // ReleaseSnapshot takes the store's write fence and must not run
-  // under the registry mutex a request handler is about to take.
+  // Erase under the lock, destroy (release the DB pins) outside it, so
+  // the registry mutex a request handler is about to take is never held
+  // across the stores' pin bookkeeping.
   std::vector<std::shared_ptr<SnapshotEntry>> expired;
   {
     std::lock_guard<std::mutex> lock(snapshots_mu_);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -329,6 +331,73 @@ TEST_F(CacheSimTest, ConcurrentDisjointStores) {
     char out;
     cache_->Load(static_cast<uint64_t>(t) << 18, &out, 1);
     EXPECT_EQ('A' + t, out);
+  }
+}
+
+// Two NtStores into disjoint halves of one line each merge the other half
+// from the cached copy or the device. Unless the line stays locked until
+// the device holds the merged line, one store can merge old bytes and
+// undo the other. Both the set-associative and the locked region run.
+TEST_F(CacheSimTest, ConcurrentHalfLineNtStoresKeepBothHalves) {
+  for (uint64_t locked_size : {uint64_t{0}, uint64_t{64} << 10}) {
+    MakeCache(1 << 20, 8, locked_size);
+    constexpr int kRounds = 20000;
+    constexpr size_t kHalf = kCacheLineSize / 2;
+    std::barrier round(2);
+    int lost = 0;
+    auto writer = [&](size_t half) {
+      char buf[kHalf];
+      for (int r = 0; r < kRounds; r++) {
+        memset(buf, 1 + r % 251, kHalf);
+        round.arrive_and_wait();
+        cache_->NtStore(half * kHalf, buf, kHalf);
+        round.arrive_and_wait();
+        if (half == 0) {
+          char line[kCacheLineSize];
+          cache_->Load(0, line, kCacheLineSize);  // refills the cache too
+          if (memcmp(line, buf, kHalf) != 0 ||
+              memcmp(line + kHalf, buf, kHalf) != 0) {
+            lost++;
+          }
+        }
+      }
+    };
+    std::thread other(writer, 1);
+    writer(0);
+    other.join();
+    EXPECT_EQ(0, lost) << "rounds that lost a half-line update, locked "
+                       << locked_size;
+  }
+}
+
+// A Load racing a full-line NtStore must not refill the cache with the
+// line's old bytes after the store invalidated it: the storing thread's
+// own Load afterwards has to see what it stored.
+TEST_F(CacheSimTest, NtStoreIsNotUndoneByConcurrentLoad) {
+  for (uint64_t locked_size : {uint64_t{0}, uint64_t{64} << 10}) {
+    MakeCache(1 << 20, 8, locked_size);
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+      char out[kCacheLineSize];
+      while (!done.load(std::memory_order_relaxed)) {
+        cache_->Load(0, out, kCacheLineSize);
+      }
+    });
+    int stale = 0;
+    char line[kCacheLineSize];
+    char out[kCacheLineSize];
+    for (int r = 0; r < 20000; r++) {
+      memset(line, 1 + r % 251, kCacheLineSize);
+      cache_->NtStore(0, line, kCacheLineSize);
+      cache_->Load(0, out, kCacheLineSize);
+      if (memcmp(line, out, kCacheLineSize) != 0) {
+        stale++;
+      }
+    }
+    done.store(true);
+    reader.join();
+    EXPECT_EQ(0, stale) << "rounds that read stale bytes, locked "
+                        << locked_size;
   }
 }
 

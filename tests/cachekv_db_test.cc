@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/db.h"
+#include "fault/fail_point.h"
 #include "pmem/pmem_env.h"
 #include "util/json.h"
 #include "util/random.h"
@@ -220,11 +221,19 @@ TEST_F(CacheKVDbTest, CrashRecoveryFromPersistentCaches) {
   env_->SimulateCrash();
   OpenDb(SmallDb(), /*recover=*/true);
   EXPECT_GE(db_->LastSequence(), seq_before);
+  // Sequencing resumes at the recovered sequence: a pin taken before any
+  // new write waits on nothing and sees the recovered state.
+  const DB::Snapshot* snap = db_->GetSnapshot();
+  ASSERT_NE(nullptr, snap);
+  EXPECT_GE(snap->sequence(), seq_before);
   for (const auto& [k, v] : model) {
     std::string got;
     ASSERT_TRUE(db_->Get(k, &got).ok()) << k;
     EXPECT_EQ(v, got) << k;
+    ASSERT_TRUE(db_->GetAt(k, snap->sequence(), &got).ok()) << k;
+    EXPECT_EQ(v, got) << k;
   }
+  db_->ReleaseSnapshot(snap);
   // And the store keeps working after recovery.
   ASSERT_TRUE(db_->Put("post-recovery", "yes").ok());
   std::string got;
@@ -461,6 +470,47 @@ TEST_F(CacheKVDbTest, ElasticityUnderManyWriters) {
   ASSERT_TRUE(db_->WaitIdle().ok());
   std::string got;
   ASSERT_TRUE(db_->Get("w11k2999", &got).ok());
+}
+
+// A lazy index-sync request can wait in the queue while the flusher copies
+// its table into the zone, re-points the index at the copy, and recycles
+// the pool slot. Once the slot's next occupant has appended more records
+// than the old table held, replaying that request would decode past the
+// end of the copy and flip the store read-only.
+TEST_F(CacheKVDbTest, StaleQueuedIndexSyncSkipsRecycledSlot) {
+  CacheKVOptions opts = SmallDb();
+  opts.pool_bytes = 512ull << 10;
+  opts.sub_memtable_bytes = 128ull << 10;
+  opts.min_sub_memtable_bytes = 128ull << 10;
+  opts.num_cores = 1;
+  opts.sync_write_threshold = 64;
+  auto* fail_points = fault::FailPointRegistry::Global();
+  // One pass hits the window about half the time, so run several, each
+  // on a fresh store.
+  for (int pass = 0; pass < 6 && !HasFailure(); pass++) {
+    db_.reset();
+    env_.reset();
+    OpenDb(opts);
+    // A slow index sync holds the first table's request (popped at its
+    // 64th write) while that table is sealed, copied, and recycled. Its
+    // 1,000 B values leave it few records, which a successor in the same
+    // slot, filled with 8 B values, soon outnumbers. Writing goes on
+    // until that request has run.
+    ASSERT_TRUE(fail_points->Enable("index.sync", "always,delay:200000").ok());
+    Status s;
+    for (int i = 0; i < 100 && s.ok(); i++) {
+      s = db_->Put("big" + std::to_string(i), std::string(1000, 'b'));
+    }
+    for (int i = 0; i < 2'000'000 && s.ok() && !db_->IsReadOnly() &&
+                    db_->CounterValue("db.index_syncs") == 0;
+         i++) {
+      s = db_->Put("k" + std::to_string(i), "8 bytes!");
+    }
+    fail_points->DisableAll();
+    EXPECT_TRUE(s.ok()) << "pass " << pass << ": " << s.ToString();
+    EXPECT_FALSE(db_->IsReadOnly())
+        << "pass " << pass << ": " << db_->BackgroundError().ToString();
+  }
 }
 
 }  // namespace

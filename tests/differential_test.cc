@@ -1,8 +1,7 @@
 // Differential test: the same randomized operation history is applied to
 // every KV engine in the repository and to a std::map reference model;
 // all engines must agree with the model on every probe. This pins down
-// semantic drift between CacheKV, the baselines, and the reference LSM
-// store.
+// semantic drift between CacheKV and the baselines.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "baselines/novelsm.h"
 #include "baselines/slmdb.h"
 #include "core/db.h"
-#include "lsm/lsm_kv.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
 
@@ -77,20 +75,6 @@ std::vector<EngineUnderTest> MakeAllEngines() {
     e.store = std::move(s);
     engines.push_back(std::move(e));
   }
-  {
-    EngineUnderTest e;
-    e.name = "LsmKv";
-    EnvOptions eo;
-    eo.pmem_capacity = 512ull << 20;
-    eo.latency.scale = 0;
-    e.env = std::make_unique<PmemEnv>(eo);
-    LsmKvOptions opts;
-    opts.write_buffer_size = 256 << 10;
-    std::unique_ptr<LsmKv> s;
-    EXPECT_TRUE(LsmKv::Open(e.env.get(), opts, false, &s).ok());
-    e.store = std::move(s);
-    engines.push_back(std::move(e));
-  }
   return engines;
 }
 
@@ -126,7 +110,7 @@ void CheckScansAgainstModel(std::vector<EngineUnderTest>& engines,
 TEST_P(DifferentialTest, AllEnginesAgreeWithModel) {
   const uint64_t seed = GetParam();
   auto engines = MakeAllEngines();
-  ASSERT_EQ(4u, engines.size());
+  ASSERT_EQ(3u, engines.size());
 
   std::map<std::string, std::string> model;
   Random rng(seed);

@@ -12,7 +12,6 @@
 #include "core/sub_memtable.h"
 #include "lsm/lsm_engine.h"
 #include "lsm/memtable.h"
-#include "lsm/wal.h"
 #include "pmem/meta_layout.h"
 #include "pmem/pmem_env.h"
 #include "util/random.h"
@@ -103,30 +102,6 @@ TEST(FailureInjectionTest, ManifestBothSlotsCorruptStartsEmpty) {
   EXPECT_TRUE(engine.Get(Slice("k"), kMaxSequenceNumber, &value, &deleted)
                   .IsNotFound())
       << "with no valid manifest the engine must come up empty, not crash";
-}
-
-TEST(FailureInjectionTest, TornWalTailStopsReplayCleanly) {
-  PmemEnv env(TestEnv());
-  uint64_t region;
-  ASSERT_TRUE(env.allocator()->Allocate(1 << 20, &region).ok());
-  WalWriter writer(&env, region, 1 << 20, true);
-  writer.Reset();
-  uint64_t offsets[3];
-  for (int i = 0; i < 3; i++) {
-    offsets[i] = writer.BytesUsed();
-    ASSERT_TRUE(
-        writer.AddRecord(Slice("record-" + std::to_string(i))).ok());
-  }
-  // Tear the third record's payload.
-  Clobber(&env, region + offsets[2] + 10, 2);
-  WalReader reader(&env, region, 1 << 20);
-  std::string rec;
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("record-0", rec);
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("record-1", rec);
-  EXPECT_FALSE(reader.ReadRecord(&rec))
-      << "replay must stop at the torn record";
 }
 
 TEST(FailureInjectionTest, CorruptSSTableBytesNeverCrash) {

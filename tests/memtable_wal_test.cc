@@ -5,20 +5,10 @@
 #include <string>
 
 #include "lsm/memtable.h"
-#include "lsm/wal.h"
-#include "pmem/pmem_env.h"
 #include "util/random.h"
 
 namespace cachekv {
 namespace {
-
-EnvOptions TestEnv() {
-  EnvOptions o;
-  o.pmem_capacity = 64ull << 20;
-  o.llc_capacity = 4ull << 20;
-  o.latency.scale = 0;
-  return o;
-}
 
 TEST(MemTableTest, AddAndGet) {
   MemTable mem;
@@ -127,116 +117,6 @@ TEST(MemTableTest, MemoryAccounting) {
   }
   EXPECT_GT(mem.ApproximateMemoryUsage(), before + 100 * 1000);
   EXPECT_EQ(1000u, mem.NumEntries());
-}
-
-class WalTest : public ::testing::Test {
- protected:
-  WalTest() : env_(TestEnv()) {
-    EXPECT_TRUE(env_.allocator()->Allocate(1 << 20, &region_).ok());
-  }
-
-  PmemEnv env_;
-  uint64_t region_ = 0;
-};
-
-TEST_F(WalTest, RoundTrip) {
-  WalWriter writer(&env_, region_, 1 << 20, true);
-  writer.Reset();
-  ASSERT_TRUE(writer.AddRecord(Slice("first")).ok());
-  ASSERT_TRUE(writer.AddRecord(Slice("second record")).ok());
-  ASSERT_TRUE(writer.AddRecord(Slice("")).ok() ||
-              true);  // empty record: see below
-
-  WalReader reader(&env_, region_, 1 << 20);
-  std::string rec;
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("first", rec);
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("second record", rec);
-}
-
-TEST_F(WalTest, ResetTruncates) {
-  WalWriter writer(&env_, region_, 1 << 20, true);
-  writer.Reset();
-  ASSERT_TRUE(writer.AddRecord(Slice("old data")).ok());
-  writer.Reset();
-  ASSERT_TRUE(writer.AddRecord(Slice("new data")).ok());
-  WalReader reader(&env_, region_, 1 << 20);
-  std::string rec;
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("new data", rec);
-  EXPECT_FALSE(reader.ReadRecord(&rec));
-}
-
-TEST_F(WalTest, FillsUntilOutOfSpace) {
-  const uint64_t small = 4096;
-  WalWriter writer(&env_, region_, small, true);
-  writer.Reset();
-  std::string payload(100, 'p');
-  int written = 0;
-  while (true) {
-    Status s = writer.AddRecord(Slice(payload));
-    if (!s.ok()) {
-      EXPECT_TRUE(s.IsOutOfSpace());
-      break;
-    }
-    written++;
-  }
-  EXPECT_GT(written, 30);  // 4096 / 108 ~ 37
-  WalReader reader(&env_, region_, small);
-  std::string rec;
-  int read = 0;
-  while (reader.ReadRecord(&rec)) {
-    EXPECT_EQ(payload, rec);
-    read++;
-  }
-  EXPECT_EQ(written, read);
-}
-
-TEST_F(WalTest, SurvivesEadrCrashWithoutFlushes) {
-  WalWriter writer(&env_, region_, 1 << 20,
-                   /*use_flush_instructions=*/false);
-  writer.Reset();
-  ASSERT_TRUE(writer.AddRecord(Slice("eadr makes stores durable")).ok());
-  env_.SimulateCrash();
-  WalReader reader(&env_, region_, 1 << 20);
-  std::string rec;
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("eadr makes stores durable", rec);
-}
-
-TEST_F(WalTest, AdrCrashWithoutFlushesLosesTail) {
-  // Build an ADR-domain environment.
-  EnvOptions o = TestEnv();
-  o.domain = PersistDomain::kAdr;
-  PmemEnv adr_env(o);
-  uint64_t region;
-  ASSERT_TRUE(adr_env.allocator()->Allocate(1 << 20, &region).ok());
-  WalWriter writer(&adr_env, region, 1 << 20,
-                   /*use_flush_instructions=*/false);
-  writer.Reset();
-  ASSERT_TRUE(writer.AddRecord(Slice("unflushed under adr")).ok());
-  adr_env.SimulateCrash();
-  WalReader reader(&adr_env, region, 1 << 20);
-  std::string rec;
-  EXPECT_FALSE(reader.ReadRecord(&rec));
-}
-
-TEST_F(WalTest, AdrCrashWithFlushesKeepsRecords) {
-  EnvOptions o = TestEnv();
-  o.domain = PersistDomain::kAdr;
-  PmemEnv adr_env(o);
-  uint64_t region;
-  ASSERT_TRUE(adr_env.allocator()->Allocate(1 << 20, &region).ok());
-  WalWriter writer(&adr_env, region, 1 << 20,
-                   /*use_flush_instructions=*/true);
-  writer.Reset();
-  ASSERT_TRUE(writer.AddRecord(Slice("flushed under adr")).ok());
-  adr_env.SimulateCrash();
-  WalReader reader(&adr_env, region, 1 << 20);
-  std::string rec;
-  ASSERT_TRUE(reader.ReadRecord(&rec));
-  EXPECT_EQ("flushed under adr", rec);
 }
 
 }  // namespace

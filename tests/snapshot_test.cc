@@ -277,6 +277,91 @@ TEST_F(SnapshotDbTest, PinSurvivesCompactionAndVlogGc) {
             db_->CounterValue("snap.releases"));
 }
 
+// GetSnapshot stops no writer: it pins the last reserved sequence and
+// waits for the writes below it that are still in flight. A write held in
+// flight, waiting for a free table, is therefore inside the pin.
+TEST_F(SnapshotDbTest, PinWaitsForWriteInFlight) {
+  db_.reset();
+  opts_.pool_bytes = 512ull << 10;  // four fixed 128 KiB tables
+  opts_.min_sub_memtable_bytes = 128ull << 10;
+  env_ = std::make_unique<PmemEnv>(TestEnv(opts_.pool_bytes));
+  ASSERT_TRUE(DB::Open(env_.get(), opts_, false, &db_).ok());
+  // Slow copy-flushes: the writer fills the pool and then waits in
+  // AcquireFor, inside a write that has reserved its sequence.
+  ASSERT_TRUE(fault::FailPointRegistry::Global()
+                  ->Enable("flush.copy", "always,delay:300000")
+                  .ok());
+  std::atomic<int> attempting{-1};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 0; !stop.load(); i++) {
+      attempting.store(i);
+      ASSERT_TRUE(
+          db_->Put("w" + std::to_string(i), std::string(1000, 'w')).ok());
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (db_->CounterValue("db.acquire_waits") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const int stuck = attempting.load();
+  const DB::Snapshot* snap = db_->GetSnapshot();
+  std::string got;
+  const bool seen =
+      snap != nullptr &&
+      db_->GetAt("w" + std::to_string(stuck), snap->sequence(), &got).ok();
+  stop.store(true);
+  writer.join();
+  fault::FailPointRegistry::Global()->DisableAll();
+  ASSERT_GT(db_->CounterValue("db.acquire_waits"), 0u)
+      << "the writer never waited for a table; the test proves nothing";
+  ASSERT_NE(nullptr, snap);
+  EXPECT_TRUE(seen) << "the pin misses write " << stuck
+                    << " that was in flight";
+  db_->ReleaseSnapshot(snap);
+}
+
+// A MultiPut is one sequence block and a pin is always a block end, so at
+// every pin a two-key batch is wholly visible or wholly invisible, while
+// four writers churn through seals and flushes.
+TEST_F(SnapshotDbTest, PinNeverSplitsABatchUnderChurn) {
+  constexpr int kWriters = 4;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; t++) {
+    writers.emplace_back([&, t] {
+      const std::string tag = std::to_string(t);
+      for (int gen = 0; !stop.load(); gen++) {
+        const std::string value =
+            std::to_string(gen) + std::string(200, 'v');
+        std::vector<KVStore::BatchOp> batch = {{false, "a" + tag, value},
+                                               {false, "b" + tag, value}};
+        ASSERT_TRUE(db_->MultiPut(batch).ok());
+      }
+    });
+  }
+  for (int pin = 0; pin < 300 && !HasFailure(); pin++) {
+    const DB::Snapshot* snap = db_->GetSnapshot();
+    EXPECT_NE(nullptr, snap);
+    for (int t = 0; snap != nullptr && t < kWriters; t++) {
+      const std::string tag = std::to_string(t);
+      std::string a, b;
+      Status sa = db_->GetAt("a" + tag, snap->sequence(), &a);
+      Status sb = db_->GetAt("b" + tag, snap->sequence(), &b);
+      EXPECT_EQ(sa.ok(), sb.ok()) << "pin " << pin << " writer " << t;
+      EXPECT_EQ(a, b) << "pin " << pin << " split writer " << t
+                      << "'s batch";
+    }
+    db_->ReleaseSnapshot(snap);
+  }
+  stop.store(true);
+  for (auto& w : writers) w.join();
+  EXPECT_GT(db_->CounterValue("db.seals"), 0u)
+      << "the churn never sealed a table";
+}
+
 TEST_F(SnapshotDbTest, PinCapReturnsNullNotCrash) {
   std::vector<const DB::Snapshot*> pins;
   for (uint32_t i = 0; i < opts_.max_pinned_snapshots; i++) {

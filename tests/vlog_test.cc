@@ -339,5 +339,76 @@ TEST(VlogDbTest, GcRewritesLiveValuesAndReclaimsSegments) {
   }
 }
 
+// A GC relocation sequences like a write: it waits for every write
+// reserved before it, and every write reserved after it shadows it. So a
+// relocation racing an overwrite of the same key never wins, even while
+// the overwrite is held in flight.
+TEST(VlogDbTest, GcRelocationNeverShadowsAnInFlightOverwrite) {
+  CacheKVOptions opts = SepDb();
+  // Four fixed 128 KiB tables, so a few filled ones exhaust the pool.
+  opts.pool_bytes = 512ull << 10;
+  opts.sub_memtable_bytes = 128ull << 10;
+  opts.min_sub_memtable_bytes = 128ull << 10;
+  opts.num_cores = 8;
+  opts.imm_zone_flush_threshold = 8ull << 20;
+  opts.vlog_gc_dead_ratio = 0;  // every sealed segment is a victim
+  opts.vlog_gc_interval_ms = 3'600'000;  // passes run only when called
+  EnvOptions eo = SepEnv();
+  eo.cat_locked_bytes = opts.pool_bytes;
+  PmemEnv env(eo);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(&env, opts, false, &db).ok());
+  auto* fail_points = fault::FailPointRegistry::Global();
+  fail_points->DisableAll();
+
+  // The key's first version opens a segment that separated fillers seal.
+  const std::string old_value(1000, 'o');
+  const std::string new_value(1000, 'n');
+  ASSERT_TRUE(db->Put("key", old_value).ok());
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(db->Put("f" + std::to_string(i), std::string(1000, 'f')).ok());
+  }
+  // With copy-flushes slowed, inline values seal three tables, so this
+  // thread holds the pool's last free table.
+  ASSERT_TRUE(fail_points->Enable("flush.copy", "always,delay:300000").ok());
+  for (int i = 0; db->CounterValue("db.seals") < 3; i++) {
+    ASSERT_TRUE(db->Put("i" + std::to_string(i), std::string(200, 'i')).ok());
+  }
+
+  // The overwrite runs on a thread of its own: it reserves its sequence,
+  // then waits in AcquireFor for a flush to free a table.
+  const uint64_t waits = db->CounterValue("db.acquire_waits");
+  Status overwrite;
+  std::thread writer([&] { overwrite = db->Put("key", new_value); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (db->CounterValue("db.acquire_waits") == waits &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const bool held = db->CounterValue("db.acquire_waits") > waits;
+  // The GC pass replays the first segment, old version of "key" first,
+  // while the overwrite is still in flight.
+  Status gc;
+  std::thread collector([&] { gc = db->vlog_gc()->CollectOnce(); });
+  writer.join();
+  std::string got;
+  Status read = db->Get("key", &got);  // right after the overwrite's ack
+  collector.join();
+  fail_points->DisableAll();
+  ASSERT_TRUE(held) << "the overwrite never waited; the test proves nothing";
+  ASSERT_TRUE(overwrite.ok()) << overwrite.ToString();
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_TRUE(got == new_value) << "read the old value after the ack";
+  ASSERT_TRUE(gc.ok()) << gc.ToString();
+  EXPECT_GT(db->CounterValue("vlog.gc_rewrites"), 0u)
+      << "the pass relocated nothing; the test proves nothing";
+  ASSERT_TRUE(db->Get("key", &got).ok());
+  EXPECT_TRUE(got == new_value) << "a relocation shadowed the overwrite";
+  ASSERT_TRUE(db->WaitIdle().ok());
+  ASSERT_TRUE(db->Get("key", &got).ok());
+  EXPECT_TRUE(got == new_value) << "a relocation shadowed the overwrite";
+}
+
 }  // namespace
 }  // namespace cachekv
