@@ -17,9 +17,9 @@
 //   # throughput rows (net-shard-0..3) in the report:
 //   $ ./build/bench/netbench --shards 4
 //
-// With --shards N (or when connecting to a sharded server), every
-// thread uses a ShardedClient: each op is routed to its owning shard's
-// connection and the whole fan-out flight is awaited together. Reads
+// Every thread uses a ShardedClient: each op is routed to its owning
+// shard's connection (the server's ring; one connection against an
+// unsharded server) and the whole flight is awaited together. Reads
 // are verified against the deterministic ValueFor() payloads; a
 // mismatched value, transport failure, or unexpected error status all
 // count into "errors" (the CI smoke asserts the count stays zero).
@@ -87,9 +87,8 @@ struct Config {
   bool preload = true;
   double latency_scale = 1.0;
   int workers = 2;
-  /// > 1 enables the sharded path: self-contained mode spawns this many
-  /// in-process shards; connect mode routes with the server's map (the
-  /// real shard count then comes from the fetched ring).
+  /// Shards of the self-contained in-process server. Connect mode
+  /// ignores it: the real shard count comes from the fetched ring.
   int shards = 1;
   uint64_t seed = 42;
   /// Key distribution: uniform | zipfian | hotspot | latest, or one of
@@ -145,7 +144,7 @@ struct ThreadStats {
   uint64_t not_found = 0;
   uint64_t errors = 0;
   uint64_t traced = 0;  // responses that came back with trace context
-  std::vector<uint64_t> shard_ops;  // sharded mode: ops routed per shard
+  std::vector<uint64_t> shard_ops;  // ops routed per shard
   Histogram get_ns;
   Histogram put_ns;
   /// Per-sampled-request client_ns - server_ns: network + queue time.
@@ -206,28 +205,6 @@ uint64_t NowNs() {
           .count());
 }
 
-/// Preloads this thread's stripe of the keyspace with pipelined puts.
-bool PreloadStripe(net::Client* client, const Config& cfg, int tid) {
-  uint64_t submitted = 0;
-  for (uint64_t i = tid; i < cfg.key_space;
-       i += static_cast<uint64_t>(cfg.connections)) {
-    client->SubmitPut(KeyFor(i, cfg.key_size), BenchValue(cfg, i));
-    if (++submitted % 256 == 0) {
-      std::vector<net::Client::Result> results;
-      if (!client->WaitAll(&results).ok()) return false;
-      for (const auto& r : results) {
-        if (!r.status.ok()) return false;
-      }
-    }
-  }
-  std::vector<net::Client::Result> results;
-  if (!client->WaitAll(&results).ok()) return false;
-  for (const auto& r : results) {
-    if (!r.status.ok()) return false;
-  }
-  return true;
-}
-
 /// Collects every outstanding pipelined response on every shard
 /// connection; false on any transport or per-request failure.
 bool DrainAllShards(net::ShardedClient* client) {
@@ -243,9 +220,9 @@ bool DrainAllShards(net::ShardedClient* client) {
   return true;
 }
 
-/// Sharded preload: each put pipelines on its owning shard's conn.
-bool PreloadStripeSharded(net::ShardedClient* client, const Config& cfg,
-                          int tid) {
+/// Preloads this thread's stripe of the keyspace: each put pipelines on
+/// its owning shard's connection.
+bool PreloadStripe(net::ShardedClient* client, const Config& cfg, int tid) {
   uint64_t submitted = 0;
   for (uint64_t i = tid; i < cfg.key_space;
        i += static_cast<uint64_t>(cfg.connections)) {
@@ -259,95 +236,13 @@ bool PreloadStripeSharded(net::ShardedClient* client, const Config& cfg,
   return DrainAllShards(client);
 }
 
+/// One load thread: routes each op in the flight to its owning shard's
+/// connection, flushes all of them, then awaits every shard. Every
+/// request in the flight observes (approximately) the flight's
+/// round-trip time, which is the service latency a closed-loop client
+/// at this depth experiences.
 void RunThread(const Config& cfg, int tid, uint64_t ops,
                ThreadStats* stats) {
-  net::Client client(BenchClientOptions(cfg, tid));
-  if (!client.Connect(cfg.connect_host, cfg.connect_port).ok()) {
-    stats->errors += ops;
-    return;
-  }
-  OpGenerator gen(cfg.spec, tid, cfg.connections, cfg.seed);
-
-  const auto start = std::chrono::steady_clock::now();
-  uint64_t done = 0;
-  // One flight of `pipeline` requests per iteration: every request in
-  // the flight observes (approximately) the flight's round-trip time,
-  // which is the service latency a closed-loop client at this depth
-  // experiences.
-  std::vector<uint64_t> flight_keys;
-  std::vector<bool> flight_is_get;
-  while (done < ops) {
-    const int depth = static_cast<int>(
-        std::min<uint64_t>(static_cast<uint64_t>(cfg.pipeline),
-                           ops - done));
-    flight_keys.clear();
-    flight_is_get.clear();
-    for (int i = 0; i < depth; i++) {
-      const Op wop = gen.Next();
-      const uint64_t key_index = wop.key_index;
-      const bool is_get = wop.type == OpType::kGet;
-      flight_keys.push_back(key_index);
-      flight_is_get.push_back(is_get);
-      const std::string key = KeyFor(key_index, cfg.key_size);
-      if (is_get) {
-        client.SubmitGet(key);
-      } else {
-        client.SubmitPut(key, BenchValue(cfg, key_index));
-      }
-    }
-    const uint64_t t0 = NowNs();
-    std::vector<net::Client::Result> results;
-    Status s = client.WaitAll(&results);
-    const double flight_ns = static_cast<double>(NowNs() - t0);
-    if (!s.ok() || results.size() != static_cast<size_t>(depth)) {
-      stats->errors += static_cast<uint64_t>(depth);
-      done += static_cast<uint64_t>(depth);
-      if (!client.connected() &&
-          !client.Connect(cfg.connect_host, cfg.connect_port).ok()) {
-        stats->errors += ops - done;
-        break;
-      }
-      continue;
-    }
-    for (int i = 0; i < depth; i++) {
-      const auto& r = results[static_cast<size_t>(i)];
-      RecordTraced(r, stats);
-      if (flight_is_get[static_cast<size_t>(i)]) {
-        stats->gets++;
-        stats->get_ns.Add(flight_ns);
-        if (r.status.ok()) {
-          if (r.value !=
-              BenchValue(cfg, flight_keys[static_cast<size_t>(i)])) {
-            stats->errors++;  // wrong payload: a correctness failure
-          } else {
-            stats->found++;
-          }
-        } else if (r.status.IsNotFound()) {
-          stats->not_found++;
-        } else {
-          stats->errors++;
-        }
-      } else {
-        stats->puts++;
-        stats->put_ns.Add(flight_ns);
-        if (!r.status.ok()) {
-          stats->errors++;
-        }
-      }
-    }
-    done += static_cast<uint64_t>(depth);
-  }
-  stats->seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
-}
-
-/// Sharded worker: routes each op in the flight to its owning shard's
-/// connection, flushes all of them, then awaits every shard — the whole
-/// fan-out flight shares one round-trip measurement.
-void RunThreadSharded(const Config& cfg, int tid, uint64_t ops,
-                      ThreadStats* stats) {
   net::ShardedClient client(BenchClientOptions(cfg, tid));
   if (!client.Connect(cfg.connect_host, cfg.connect_port).ok()) {
     stats->errors += ops;
@@ -385,6 +280,9 @@ void RunThreadSharded(const Config& cfg, int tid, uint64_t ops,
     }
     const uint64_t t0 = NowNs();
     bool failed = false;
+    for (uint32_t s = 0; s < num_shards && !failed; s++) {
+      failed = !client.shard_client(s)->Flush().ok();
+    }
     std::vector<std::vector<net::Client::Result>> responses(num_shards);
     for (uint32_t s = 0; s < num_shards && !failed; s++) {
       net::Client* conn = client.shard_client(s);
@@ -474,79 +372,84 @@ JsonValue& AttachRunFields(JsonValue& run, const Config& cfg,
   return run;
 }
 
+/// Reads the server's STATS document (in-process or remote); on
+/// failure (server unreachable, payload unparseable) *doc is left null,
+/// so every StatSum over it reads 0.
+void ScrapeStats(const Config& cfg, JsonValue* doc) {
+  net::Client client;
+  std::string json;
+  if (!client.Connect(cfg.connect_host, cfg.connect_port).ok() ||
+      !client.Stats(&json).ok() || !JsonValue::Parse(json, doc).ok()) {
+    *doc = JsonValue();
+  }
+}
+
+/// Sums counter `name` over every shard document of a STATS dump (the
+/// dump itself when the server has one shard); a missing counter is 0.
+double StatSum(const JsonValue& doc, const char* name) {
+  auto num = [name](const JsonValue& reg) {
+    const JsonValue* v = reg.Get(name);
+    return (v != nullptr && v->is_number()) ? v->number() : 0.0;
+  };
+  if (doc.Get("shard.0") == nullptr) return num(doc);
+  double sum = 0;
+  for (size_t i = 0;; i++) {
+    const JsonValue* shard = doc.Get("shard." + std::to_string(i));
+    if (shard == nullptr || !shard->is_object()) break;
+    sum += num(*shard);
+  }
+  return sum;
+}
+
 /// Server-side hot-key cache counters, summed across shards.
 struct HotCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t admissions = 0;
-  uint64_t evictions = 0;
-  uint64_t invalidations = 0;
+  explicit HotCacheStats(const JsonValue& stats)
+      : hits(StatSum(stats, "cache.hits")),
+        misses(StatSum(stats, "cache.misses")),
+        admissions(StatSum(stats, "cache.admissions")),
+        evictions(StatSum(stats, "cache.evictions")),
+        invalidations(StatSum(stats, "cache.invalidations")) {}
+
+  double hits;
+  double misses;
+  double admissions;
+  double evictions;
+  double invalidations;
 
   bool active() const { return hits + misses > 0; }
   double HitRatio() const {
-    const uint64_t lookups = hits + misses;
-    return lookups == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(lookups);
+    const double lookups = hits + misses;
+    return lookups == 0 ? 0.0 : hits / lookups;
   }
 };
-
-/// Scrapes STATS from the server (in-process or remote) and sums the
-/// cache.* counters over every shard document. False when the server is
-/// unreachable or the payload does not parse.
-bool ScrapeCacheStats(const Config& cfg, HotCacheStats* out) {
-  net::Client client;
-  if (!client.Connect(cfg.connect_host, cfg.connect_port).ok()) {
-    return false;
-  }
-  std::string json;
-  if (!client.Stats(&json).ok()) {
-    return false;
-  }
-  JsonValue doc;
-  if (!JsonValue::Parse(json, &doc).ok() || !doc.is_object()) {
-    return false;
-  }
-  auto add_from = [out](const JsonValue& reg) {
-    auto num = [&reg](const char* name) -> uint64_t {
-      const JsonValue* v = reg.Get(name);
-      return (v != nullptr && v->is_number())
-                 ? static_cast<uint64_t>(v->number())
-                 : 0;
-    };
-    out->hits += num("cache.hits");
-    out->misses += num("cache.misses");
-    out->admissions += num("cache.admissions");
-    out->evictions += num("cache.evictions");
-    out->invalidations += num("cache.invalidations");
-  };
-  if (doc.Get("shard.0") != nullptr) {
-    for (size_t i = 0;; i++) {
-      const JsonValue* shard = doc.Get("shard." + std::to_string(i));
-      if (shard == nullptr || !shard->is_object()) break;
-      add_from(*shard);
-    }
-  } else {
-    add_from(doc);
-  }
-  return true;
-}
 
 /// Persistence-path byte counters, summed across shards, for the
 /// write-amplification section. With key-value separation on, large
 /// values flow through the log exactly once and the flush/compaction
 /// byte counts stay flat as --value-size grows.
 struct WriteAmpStats {
-  double ingest = 0;       // db.ingest_bytes: acked user key+value bytes
-  double separated = 0;    // db.separated_puts
-  double flush_copy = 0;   // flush.copy_bytes: memtable -> zone copies
-  double l0 = 0;           // lsm.l0_bytes_written
-  double compact = 0;      // lsm.compact_bytes_written
-  double vlog_append = 0;  // vlog.append_bytes (user writes + GC)
-  double vlog_appends = 0;
-  double vlog_gc_passes = 0;
-  double vlog_gc_unlinked = 0;
-  double vlog_gc_rewrite = 0;  // vlog.gc_rewrite_bytes
+  explicit WriteAmpStats(const JsonValue& stats)
+      : ingest(StatSum(stats, "db.ingest_bytes")),
+        separated(StatSum(stats, "db.separated_puts")),
+        flush_copy(StatSum(stats, "flush.copy_bytes")),
+        l0(StatSum(stats, "lsm.l0_bytes_written")),
+        compact(StatSum(stats, "lsm.compact_bytes_written")),
+        vlog_append(StatSum(stats, "vlog.append_bytes")),
+        vlog_appends(StatSum(stats, "vlog.appends")),
+        vlog_gc_passes(StatSum(stats, "vlog.gc_passes")),
+        vlog_gc_unlinked(StatSum(stats, "vlog.gc_unlinked")),
+        vlog_gc_rewrite(StatSum(stats, "vlog.gc_rewrite_bytes")) {}
+
+  double ingest;       // acked user key+value bytes
+  double separated;
+  double flush_copy;   // memtable -> zone copies
+  double l0;
+  double compact;
+  double vlog_append;  // user writes + GC
+  double vlog_appends;
+  double vlog_gc_passes;
+  double vlog_gc_unlinked;
+  double vlog_gc_rewrite;
 
   bool active() const { return ingest > 0; }
   /// The headline figure: LSM bytes written per ingested byte.
@@ -556,47 +459,6 @@ struct WriteAmpStats {
     return (flush_copy + l0 + compact + vlog_append) / ingest;
   }
 };
-
-bool ScrapeWriteAmp(const Config& cfg, WriteAmpStats* out) {
-  net::Client client;
-  if (!client.Connect(cfg.connect_host, cfg.connect_port).ok()) {
-    return false;
-  }
-  std::string json;
-  if (!client.Stats(&json).ok()) {
-    return false;
-  }
-  JsonValue doc;
-  if (!JsonValue::Parse(json, &doc).ok() || !doc.is_object()) {
-    return false;
-  }
-  auto add_from = [out](const JsonValue& reg) {
-    auto num = [&reg](const char* name) -> double {
-      const JsonValue* v = reg.Get(name);
-      return (v != nullptr && v->is_number()) ? v->number() : 0;
-    };
-    out->ingest += num("db.ingest_bytes");
-    out->separated += num("db.separated_puts");
-    out->flush_copy += num("flush.copy_bytes");
-    out->l0 += num("lsm.l0_bytes_written");
-    out->compact += num("lsm.compact_bytes_written");
-    out->vlog_append += num("vlog.append_bytes");
-    out->vlog_appends += num("vlog.appends");
-    out->vlog_gc_passes += num("vlog.gc_passes");
-    out->vlog_gc_unlinked += num("vlog.gc_unlinked");
-    out->vlog_gc_rewrite += num("vlog.gc_rewrite_bytes");
-  };
-  if (doc.Get("shard.0") != nullptr) {
-    for (size_t i = 0;; i++) {
-      const JsonValue* shard = doc.Get("shard." + std::to_string(i));
-      if (shard == nullptr || !shard->is_object()) break;
-      add_from(*shard);
-    }
-  } else {
-    add_from(doc);
-  }
-  return true;
-}
 
 JsonValue WriteAmpJson(const WriteAmpStats& w) {
   JsonValue v = JsonValue::Object();
@@ -617,14 +479,11 @@ JsonValue WriteAmpJson(const WriteAmpStats& w) {
 
 JsonValue CacheJson(const HotCacheStats& c) {
   JsonValue v = JsonValue::Object();
-  v.Set("hits", JsonValue::Number(static_cast<double>(c.hits)));
-  v.Set("misses", JsonValue::Number(static_cast<double>(c.misses)));
-  v.Set("admissions",
-        JsonValue::Number(static_cast<double>(c.admissions)));
-  v.Set("evictions",
-        JsonValue::Number(static_cast<double>(c.evictions)));
-  v.Set("invalidations",
-        JsonValue::Number(static_cast<double>(c.invalidations)));
+  v.Set("hits", JsonValue::Number(c.hits));
+  v.Set("misses", JsonValue::Number(c.misses));
+  v.Set("admissions", JsonValue::Number(c.admissions));
+  v.Set("evictions", JsonValue::Number(c.evictions));
+  v.Set("invalidations", JsonValue::Number(c.invalidations));
   v.Set("hit_ratio", JsonValue::Number(c.HitRatio()));
   return v;
 }
@@ -866,32 +725,6 @@ std::string SnapGenValue(const Config& cfg, uint64_t idx, int gen) {
   return v;
 }
 
-/// Sums one snap./vlog. counter over every shard document in STATS.
-uint64_t ScrapeSnapshotCounter(const Config& cfg, const char* name) {
-  net::Client client;
-  std::string json;
-  if (!client.Connect(cfg.connect_host, cfg.connect_port).ok() ||
-      !client.Stats(&json).ok()) {
-    return 0;
-  }
-  JsonValue doc;
-  if (!JsonValue::Parse(json, &doc).ok() || !doc.is_object()) return 0;
-  auto num = [name](const JsonValue& reg) -> uint64_t {
-    const JsonValue* v = reg.Get(name);
-    return (v != nullptr && v->is_number())
-               ? static_cast<uint64_t>(v->number())
-               : 0;
-  };
-  if (doc.Get("shard.0") == nullptr) return num(doc);
-  uint64_t sum = 0;
-  for (size_t i = 0;; i++) {
-    const JsonValue* shard = doc.Get("shard." + std::to_string(i));
-    if (shard == nullptr || !shard->is_object()) break;
-    sum += num(*shard);
-  }
-  return sum;
-}
-
 /// Snapshot-consistency driver (--snapshot-scan, docs/SNAPSHOTS.md):
 /// writes a generation-0 baseline, pins one snapshot across every
 /// shard, then scans at the pin while writer threads churn the same
@@ -921,8 +754,9 @@ int RunSnapshotScan(const Config& cfg) {
       return 1;
     }
   }
-  const uint64_t retained_before =
-      ScrapeSnapshotCounter(cfg, "snap.retained_bytes");
+  JsonValue stats;
+  ScrapeStats(cfg, &stats);
+  const double retained_before = StatSum(stats, "snap.retained_bytes");
 
   net::ShardedClient::ShardedSnapshot snap;
   s = client.CreateSnapshot(0, &snap);
@@ -1019,11 +853,10 @@ int RunSnapshotScan(const Config& cfg) {
     }
   }
 
-  const uint64_t retained =
-      ScrapeSnapshotCounter(cfg, "snap.retained_bytes") -
-      retained_before;
-  const uint64_t gc_deferrals =
-      ScrapeSnapshotCounter(cfg, "vlog.gc_deferrals");
+  ScrapeStats(cfg, &stats);
+  const double retained =
+      StatSum(stats, "snap.retained_bytes") - retained_before;
+  const double gc_deferrals = StatSum(stats, "vlog.gc_deferrals");
   s = client.ReleaseSnapshot(snap);
 
   std::printf(
@@ -1040,11 +873,9 @@ int RunSnapshotScan(const Config& cfg) {
       static_cast<unsigned long long>(moved),
       static_cast<unsigned long long>(keys));
   std::printf(
-      "space-amp of the pin: snap.retained_bytes +%llu B, "
-      "vlog.gc_deferrals %llu, release %s\n",
-      static_cast<unsigned long long>(retained),
-      static_cast<unsigned long long>(gc_deferrals),
-      s.ToString().c_str());
+      "space-amp of the pin: snap.retained_bytes +%.0f B, "
+      "vlog.gc_deferrals %.0f, release %s\n",
+      retained, gc_deferrals, s.ToString().c_str());
 
   const bool failed = leaked_rows > 0 || scan_errors > 0 ||
                       write_failures.load() > 0 || !s.ok();
@@ -1178,7 +1009,6 @@ int main(int argc, char** argv) {
                  cfg.value_dist.c_str());
     return 2;
   }
-  const bool sharded = cfg.shards > 1;
 
   // Replication chaos mode is a separate drive path: writes-only load
   // against an external primary/follower pair, optional SIGKILL of the
@@ -1294,8 +1124,8 @@ int main(int argc, char** argv) {
       db_ptrs.push_back(db.get());
       dbs.push_back(std::move(db));
     }
-    net::ShardRouter router;
-    if (sharded) {
+    net::ShardRouter router;  // the 1-shard identity ring by default
+    if (cfg.shards > 1) {
       net::ShardMap map;
       map.num_shards = static_cast<uint32_t>(cfg.shards);
       Status rs = net::ShardRouter::Build(map, &router);
@@ -1317,7 +1147,7 @@ int main(int argc, char** argv) {
     }
     cfg.connect_host = "127.0.0.1";
     cfg.connect_port = server->port();
-    if (sharded) {
+    if (cfg.shards > 1) {
       std::printf("in-process server on 127.0.0.1:%u (%d shards)\n",
                   server->port(), cfg.shards);
     } else {
@@ -1331,10 +1161,10 @@ int main(int argc, char** argv) {
     return RunSnapshotScan(cfg);
   }
 
-  // Sharded mode against a remote server: the real shard count is
-  // whatever the fetched ring says, not the flag.
+  // The real shard count is whatever the server's ring says, not the
+  // flag (which only sizes the in-process server).
   uint32_t actual_shards = 1;
-  if (sharded) {
+  {
     net::ShardedClient probe;
     Status st = probe.Connect(cfg.connect_host, cfg.connect_port);
     if (!st.ok()) {
@@ -1343,6 +1173,7 @@ int main(int argc, char** argv) {
     }
     actual_shards = probe.num_shards();
   }
+  const bool sharded = actual_shards > 1;
 
   std::printf(
       "netbench: %d connections, %llu ops, %d%% reads, pipeline %d, "
@@ -1359,18 +1190,10 @@ int main(int argc, char** argv) {
     std::atomic<bool> preload_ok{true};
     for (int t = 0; t < cfg.connections; t++) {
       loaders.emplace_back([&, t] {
-        if (sharded) {
-          net::ShardedClient client;
-          if (!client.Connect(cfg.connect_host, cfg.connect_port).ok() ||
-              !PreloadStripeSharded(&client, cfg, t)) {
-            preload_ok.store(false);
-          }
-        } else {
-          net::Client client;
-          if (!client.Connect(cfg.connect_host, cfg.connect_port).ok() ||
-              !PreloadStripe(&client, cfg, t)) {
-            preload_ok.store(false);
-          }
+        net::ShardedClient client;
+        if (!client.Connect(cfg.connect_host, cfg.connect_port).ok() ||
+            !PreloadStripe(&client, cfg, t)) {
+          preload_ok.store(false);
         }
       });
     }
@@ -1394,8 +1217,7 @@ int main(int argc, char** argv) {
     if (t == 0) {
       ops += cfg.total_ops % static_cast<uint64_t>(cfg.connections);
     }
-    threads.emplace_back(sharded ? RunThreadSharded : RunThread,
-                         std::cref(cfg), t, ops,
+    threads.emplace_back(RunThread, std::cref(cfg), t, ops,
                          &stats[static_cast<size_t>(t)]);
   }
   for (auto& th : threads) th.join();
@@ -1438,11 +1260,12 @@ int main(int argc, char** argv) {
   // Hot-key cache effectiveness, scraped from the server's STATS while
   // it is still up; attached to the net-mixed run as an informational
   // object (bench_diff ignores dict-valued fields for matching).
-  HotCacheStats cache_stats;
-  const bool have_cache_stats =
-      ScrapeCacheStats(cfg, &cache_stats) && cache_stats.active();
-  WriteAmpStats wamp;
-  const bool have_wamp = ScrapeWriteAmp(cfg, &wamp) && wamp.active();
+  JsonValue server_stats;
+  ScrapeStats(cfg, &server_stats);
+  const HotCacheStats cache_stats(server_stats);
+  const bool have_cache_stats = cache_stats.active();
+  const WriteAmpStats wamp(server_stats);
+  const bool have_wamp = wamp.active();
 
   char buf[160];
   std::snprintf(buf, sizeof(buf),
@@ -1472,11 +1295,9 @@ int main(int argc, char** argv) {
   if (have_cache_stats) {
     std::snprintf(
         buf, sizeof(buf),
-        "hit %5.1f%%  (%llu hits, %llu misses, %llu invalidations)",
-        cache_stats.HitRatio() * 100.0,
-        static_cast<unsigned long long>(cache_stats.hits),
-        static_cast<unsigned long long>(cache_stats.misses),
-        static_cast<unsigned long long>(cache_stats.invalidations));
+        "hit %5.1f%%  (%.0f hits, %.0f misses, %.0f invalidations)",
+        cache_stats.HitRatio() * 100.0, cache_stats.hits,
+        cache_stats.misses, cache_stats.invalidations);
     PrintRow("net-cache", buf);
   }
   std::snprintf(buf, sizeof(buf),

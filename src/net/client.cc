@@ -25,6 +25,13 @@ Status Errno(const char* what) {
 
 Status NotConnected() { return Status::IOError("not connected"); }
 
+/// A whole-range op finds no single server to ask: the shards route to
+/// more than one (mid-failover), and a server answers for the whole
+/// range only while it is primary for every shard it hosts.
+Status SplitRouting() {
+  return StatusFromWire(kNotPrimary, "shards route to more than one server");
+}
+
 /// SplitMix64: trace ids must be well-mixed (they key merged
 /// timelines) yet reproducible from (seed, ordinal).
 uint64_t Mix64(uint64_t x) {
@@ -113,14 +120,6 @@ void Client::Close() {
 
 void Client::FailConnection() { Close(); }
 
-Status Client::RequireIdle() const {
-  if (!outstanding_.empty()) {
-    return Status::InvalidArgument(
-        "pipelined requests outstanding; WaitAll() first");
-  }
-  return Status::OK();
-}
-
 TraceContext Client::NextTrace() {
   TraceContext tc;
   const uint64_t seq = keyed_seq_++;
@@ -195,288 +194,47 @@ Status Client::ReadFrame(Frame* frame) {
   }
 }
 
-Status Client::RoundTrip(Op op, const std::string& request,
-                         Frame* response, std::string* payload_out) {
-  last_wire_code_ = 0;  // 0 = no response arrived
-  if (fd_ < 0) return NotConnected();
-  Status s = RequireIdle();
-  if (!s.ok()) return s;
-  s = SendAll(request.data(), request.size());
-  if (!s.ok()) return s;
-  s = ReadFrame(response);
-  if (!s.ok()) return s;
-  if (!response->response || response->op != op) {
-    FailConnection();
-    return Status::Corruption("protocol", "unexpected response frame");
-  }
-  last_wire_code_ = response->code;
-  if (response->code != kOk) {
-    return StatusFromWire(response->code,
-                          response->payload);
-  }
-  if (payload_out != nullptr) {
-    *payload_out = response->payload.ToString();
-  }
-  return Status::OK();
-}
-
-// Synchronous API. ----------------------------------------------------
-
-namespace {
-
-/// Emits the client-side span for a sampled synchronous request.
-void EmitClientSpan(obs::Tracer* tracer, Op op, const TraceContext& tc,
-                    uint64_t start_ns, uint64_t end_ns) {
-  if (tracer == nullptr || !tracer->enabled() || !tc.traced) return;
-  tracer->Complete(ClientSpanName(op), start_ns, end_ns - start_ns,
-                   "trace", tc.trace_id);
-}
-
-}  // namespace
-
-Status Client::Put(const Slice& key, const Slice& value) {
-  const TraceContext tc = NextTrace();
-  std::string req;
-  EncodePutRequest(&req, next_id_++, key, value, tc);
-  Frame resp;
-  const uint64_t start = tc.traced ? NowNs() : 0;
-  Status s = RoundTrip(Op::kPut, req, &resp, nullptr);
-  EmitClientSpan(options_.tracer, Op::kPut, tc, start, NowNs());
-  return s;
-}
-
-Status Client::Get(const Slice& key, std::string* value) {
-  const TraceContext tc = NextTrace();
-  std::string req;
-  EncodeGetRequest(&req, next_id_++, key, tc);
-  Frame resp;
-  const uint64_t start = tc.traced ? NowNs() : 0;
-  Status s = RoundTrip(Op::kGet, req, &resp, value);
-  EmitClientSpan(options_.tracer, Op::kGet, tc, start, NowNs());
-  return s;
-}
-
-Status Client::Delete(const Slice& key) {
-  const TraceContext tc = NextTrace();
-  std::string req;
-  EncodeDeleteRequest(&req, next_id_++, key, tc);
-  Frame resp;
-  const uint64_t start = tc.traced ? NowNs() : 0;
-  Status s = RoundTrip(Op::kDelete, req, &resp, nullptr);
-  EmitClientSpan(options_.tracer, Op::kDelete, tc, start, NowNs());
-  return s;
-}
-
-Status Client::MultiPut(const std::vector<KVStore::BatchOp>& batch) {
-  const TraceContext tc = NextTrace();
-  std::string req;
-  EncodeMultiPutRequest(&req, next_id_++, batch, tc);
-  Frame resp;
-  const uint64_t start = tc.traced ? NowNs() : 0;
-  Status s = RoundTrip(Op::kMultiPut, req, &resp, nullptr);
-  EmitClientSpan(options_.tracer, Op::kMultiPut, tc, start, NowNs());
-  return s;
-}
-
-Status Client::Scan(
-    const Slice& start, uint32_t limit,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  const TraceContext tc = NextTrace();
-  std::string req;
-  EncodeScanRequest(&req, next_id_++, start, limit, tc);
-  Frame resp;
-  std::string payload;
-  const uint64_t t0 = tc.traced ? NowNs() : 0;
-  Status s = RoundTrip(Op::kScan, req, &resp, &payload);
-  EmitClientSpan(options_.tracer, Op::kScan, tc, t0, NowNs());
-  if (!s.ok()) return s;
-  return ParseScanPayload(payload, out);
-}
-
-Status Client::Stats(std::string* json) {
-  std::string req;
-  EncodeStatsRequest(&req, next_id_++);
-  Frame resp;
-  return RoundTrip(Op::kStats, req, &resp, json);
-}
-
-Status Client::SlowLog(uint32_t limit, std::string* json) {
-  std::string req;
-  EncodeSlowLogRequest(&req, next_id_++, limit);
-  Frame resp;
-  return RoundTrip(Op::kSlowLog, req, &resp, json);
-}
-
-Status Client::MetricsProm(std::string* text) {
-  std::string req;
-  EncodeMetricsPromRequest(&req, next_id_++);
-  Frame resp;
-  return RoundTrip(Op::kMetricsProm, req, &resp, text);
-}
-
-Status Client::Ping() {
-  std::string req;
-  EncodePingRequest(&req, next_id_++);
-  Frame resp;
-  return RoundTrip(Op::kPing, req, &resp, nullptr);
-}
-
-Status Client::FetchShardMap(ShardRouter* out) {
-  std::string req;
-  EncodeShardMapRequest(&req, next_id_++);
-  Frame resp;
-  std::string payload;
-  Status s = RoundTrip(Op::kShardMap, req, &resp, &payload);
-  if (!s.ok()) return s;
-  return ShardRouter::Decode(payload, out);
-}
-
-// Snapshot API. -------------------------------------------------------
-
-Status Client::CreateSnapshot(uint32_t ttl_ms, SnapshotResponse* resp) {
-  std::string req;
-  EncodeSnapshotRequest(&req, next_id_++, ttl_ms);
-  Frame frame;
-  std::string payload;
-  Status s = RoundTrip(Op::kSnapshot, req, &frame, &payload);
-  if (!s.ok()) return s;
-  return ParseSnapshotPayload(payload, resp);
-}
-
-Status Client::ReleaseSnapshot(uint64_t snapshot_id) {
-  std::string req;
-  EncodeSnapshotReleaseRequest(&req, next_id_++, snapshot_id);
-  Frame frame;
-  return RoundTrip(Op::kSnapshotRelease, req, &frame, nullptr);
-}
-
-Status Client::GetAt(const Slice& key, uint64_t snapshot_id,
-                     std::string* value) {
-  SnapshotRef snap;
-  snap.at_snapshot = true;
-  snap.id = snapshot_id;
-  std::string req;
-  EncodeGetRequest(&req, next_id_++, key, TraceContext(), snap);
-  Frame resp;
-  return RoundTrip(Op::kGet, req, &resp, value);
-}
-
-Status Client::ScanAt(
-    const Slice& start, uint32_t limit, uint64_t snapshot_id,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  SnapshotRef snap;
-  snap.at_snapshot = true;
-  snap.id = snapshot_id;
-  std::string req;
-  EncodeScanRequest(&req, next_id_++, start, limit, TraceContext(), snap);
-  Frame resp;
-  std::string payload;
-  Status s = RoundTrip(Op::kScan, req, &resp, &payload);
-  if (!s.ok()) return s;
-  return ParseScanPayload(payload, out);
-}
-
-// Replication API. ----------------------------------------------------
-
-Status Client::ReplSubscribe(const ReplSubscribeRequest& request,
-                             ReplSubscribeResponse* resp) {
-  std::string req;
-  EncodeReplSubscribeRequest(&req, next_id_++, request);
-  Frame frame;
-  std::string payload;
-  Status s = RoundTrip(Op::kReplSubscribe, req, &frame, &payload);
-  if (!s.ok()) return s;
-  return ParseReplSubscribePayload(payload, resp);
-}
-
-Status Client::ReplFetch(const ReplBatchRequest& request,
-                         ReplBatchResponse* resp) {
-  std::string req;
-  EncodeReplBatchRequest(&req, next_id_++, request);
-  Frame frame;
-  std::string payload;
-  Status s = RoundTrip(Op::kReplBatch, req, &frame, &payload);
-  if (!s.ok()) return s;
-  return ParseReplBatchPayload(payload, resp);
-}
-
-Status Client::ReplAck(const ReplAckRequest& request) {
-  std::string req;
-  EncodeReplAckRequest(&req, next_id_++, request);
-  Frame frame;
-  return RoundTrip(Op::kReplAck, req, &frame, nullptr);
-}
-
-Status Client::ReplSnapshot(const ReplSnapshotRequest& request,
-                            ReplSnapshotResponse* resp) {
-  std::string req;
-  EncodeReplSnapshotRequest(&req, next_id_++, request);
-  Frame frame;
-  std::string payload;
-  Status s = RoundTrip(Op::kReplSnapshot, req, &frame, &payload);
-  if (!s.ok()) return s;
-  return ParseReplSnapshotPayload(payload, resp);
-}
-
-Status Client::Promote(uint32_t shard, uint64_t* new_epoch) {
-  std::string req;
-  EncodePromoteRequest(&req, next_id_++, shard);
-  Frame frame;
-  std::string payload;
-  Status s = RoundTrip(Op::kPromote, req, &frame, &payload);
-  if (!s.ok()) return s;
-  return ParsePromotePayload(payload, new_epoch);
-}
-
 // Pipelined API. ------------------------------------------------------
 
-uint64_t Client::Enqueue(Op op, std::string encoded,
-                         const TraceContext& tc) {
-  sendbuf_.append(encoded);
-  const uint64_t id = next_id_ - 1;  // the id the encoder consumed
+uint64_t Client::Enqueue(Op op, const TraceContext& tc) {
   PendingOp pending;
-  pending.id = id;
+  pending.id = next_id_++;
   pending.op = op;
   pending.traced = tc.traced;
   pending.trace_id = tc.trace_id;
   outstanding_.push_back(pending);
-  return id;
+  return pending.id;
 }
 
 uint64_t Client::SubmitGet(const Slice& key) {
   const TraceContext tc = NextTrace();
-  std::string req;
-  EncodeGetRequest(&req, next_id_++, key, tc);
-  return Enqueue(Op::kGet, std::move(req), tc);
+  EncodeGetRequest(&sendbuf_, next_id_, key, tc);
+  return Enqueue(Op::kGet, tc);
 }
 
 uint64_t Client::SubmitPut(const Slice& key, const Slice& value) {
   const TraceContext tc = NextTrace();
-  std::string req;
-  EncodePutRequest(&req, next_id_++, key, value, tc);
-  return Enqueue(Op::kPut, std::move(req), tc);
+  EncodePutRequest(&sendbuf_, next_id_, key, value, tc);
+  return Enqueue(Op::kPut, tc);
 }
 
 uint64_t Client::SubmitDelete(const Slice& key) {
   const TraceContext tc = NextTrace();
-  std::string req;
-  EncodeDeleteRequest(&req, next_id_++, key, tc);
-  return Enqueue(Op::kDelete, std::move(req), tc);
+  EncodeDeleteRequest(&sendbuf_, next_id_, key, tc);
+  return Enqueue(Op::kDelete, tc);
 }
 
 uint64_t Client::SubmitMultiPut(
     const std::vector<KVStore::BatchOp>& batch) {
   const TraceContext tc = NextTrace();
-  std::string req;
-  EncodeMultiPutRequest(&req, next_id_++, batch, tc);
-  return Enqueue(Op::kMultiPut, std::move(req), tc);
+  EncodeMultiPutRequest(&sendbuf_, next_id_, batch, tc);
+  return Enqueue(Op::kMultiPut, tc);
 }
 
 uint64_t Client::SubmitScan(const Slice& start, uint32_t limit) {
   const TraceContext tc = NextTrace();
-  std::string req;
-  EncodeScanRequest(&req, next_id_++, start, limit, tc);
-  return Enqueue(Op::kScan, std::move(req), tc);
+  EncodeScanRequest(&sendbuf_, next_id_, start, limit, tc);
+  return Enqueue(Op::kScan, tc);
 }
 
 uint64_t Client::SubmitScanAt(const Slice& start, uint32_t limit,
@@ -484,15 +242,14 @@ uint64_t Client::SubmitScanAt(const Slice& start, uint32_t limit,
   SnapshotRef snap;
   snap.at_snapshot = true;
   snap.id = snapshot_id;
-  std::string req;
-  EncodeScanRequest(&req, next_id_++, start, limit, TraceContext(), snap);
-  return Enqueue(Op::kScan, std::move(req));
+  EncodeScanRequest(&sendbuf_, next_id_, start, limit, TraceContext(),
+                    snap);
+  return Enqueue(Op::kScan);
 }
 
 uint64_t Client::SubmitPing() {
-  std::string req;
-  EncodePingRequest(&req, next_id_++);
-  return Enqueue(Op::kPing, std::move(req));
+  EncodePingRequest(&sendbuf_, next_id_);
+  return Enqueue(Op::kPing);
 }
 
 Status Client::Flush() {
@@ -513,9 +270,9 @@ Status Client::Flush() {
       pending.start_ns = now;
     }
   }
-  std::string buf;
-  buf.swap(sendbuf_);
-  return SendAll(buf.data(), buf.size());
+  Status s = SendAll(sendbuf_.data(), sendbuf_.size());
+  sendbuf_.clear();  // keeps its capacity for the next flight
+  return s;
 }
 
 Status Client::WaitAll(std::vector<Result>* results) {
@@ -557,11 +314,9 @@ Status Client::WaitAll(std::vector<Result>* results) {
     }
     if (frame.code != kOk) {
       result.status = StatusFromWire(frame.code, frame.payload);
-    } else if (result.op == Op::kGet) {
-      result.value = frame.payload.ToString();
     } else if (result.op == Op::kScan) {
       result.status = ParseScanPayload(frame.payload, &result.entries);
-    } else if (result.op == Op::kStats) {
+    } else {
       result.value = frame.payload.ToString();
     }
     const PendingOp& pending = outstanding_[idx];
@@ -573,14 +328,163 @@ Status Client::WaitAll(std::vector<Result>* results) {
       if (pending.start_ns != 0 && end > pending.start_ns) {
         result.client_ns = end - pending.start_ns;
       }
-      EmitClientSpan(options_.tracer, result.op,
-                     TraceContext{true, pending.trace_id, 0},
-                     pending.start_ns, end);
+      if (options_.tracer != nullptr && options_.tracer->enabled()) {
+        options_.tracer->Complete(ClientSpanName(result.op),
+                                  pending.start_ns, end - pending.start_ns,
+                                  "trace", pending.trace_id);
+      }
     }
     outstanding_.erase(outstanding_.begin() + idx);
     results->push_back(std::move(result));
   }
   return Status::OK();
+}
+
+// Synchronous API: every call is a one-request pipeline. -------------
+
+template <typename Submit>
+Status Client::Call(const Submit& submit, Result* result) {
+  last_wire_code_ = 0;  // 0 = no response arrived
+  if (fd_ < 0) return NotConnected();
+  if (!outstanding_.empty()) {
+    return Status::InvalidArgument(
+        "pipelined requests outstanding; WaitAll() first");
+  }
+  submit();
+  std::vector<Result> results;
+  Status s = WaitAll(&results);
+  if (!s.ok()) return s;
+  last_wire_code_ = results[0].wire_code;
+  s = results[0].status;
+  if (result != nullptr) *result = std::move(results[0]);
+  return s;
+}
+
+Status Client::Put(const Slice& key, const Slice& value) {
+  return Call([&] { SubmitPut(key, value); });
+}
+
+Status Client::Get(const Slice& key, std::string* value) {
+  Result r;
+  Status s = Call([&] { SubmitGet(key); }, &r);
+  if (s.ok()) value->swap(r.value);
+  return s;
+}
+
+Status Client::Delete(const Slice& key) {
+  return Call([&] { SubmitDelete(key); });
+}
+
+Status Client::MultiPut(const std::vector<KVStore::BatchOp>& batch) {
+  return Call([&] { SubmitMultiPut(batch); });
+}
+
+Status Client::Scan(
+    const Slice& start, uint32_t limit,
+    std::vector<std::pair<std::string, std::string>>* out) {
+  Result r;
+  Status s = Call([&] { SubmitScan(start, limit); }, &r);
+  if (s.ok()) out->swap(r.entries);
+  return s;
+}
+
+template <typename Encode, typename... Args>
+Status Client::Request(Op op, std::string* payload, Encode encode,
+                       const Args&... args) {
+  Result r;
+  Status s = Call(
+      [&] {
+        encode(&sendbuf_, next_id_, args...);
+        Enqueue(op);
+      },
+      &r);
+  if (s.ok() && payload != nullptr) payload->swap(r.value);
+  return s;
+}
+
+Status Client::Stats(std::string* json) {
+  return Request(Op::kStats, json, EncodeStatsRequest);
+}
+
+Status Client::SlowLog(uint32_t limit, std::string* json) {
+  return Request(Op::kSlowLog, json, EncodeSlowLogRequest, limit);
+}
+
+Status Client::MetricsProm(std::string* text) {
+  return Request(Op::kMetricsProm, text, EncodeMetricsPromRequest);
+}
+
+Status Client::Ping() {
+  return Call([&] { SubmitPing(); });
+}
+
+Status Client::FetchShardMap(ShardRouter* out) {
+  std::string payload;
+  Status s = Request(Op::kShardMap, &payload, EncodeShardMapRequest);
+  return s.ok() ? ShardRouter::Decode(payload, out) : s;
+}
+
+Status Client::CreateSnapshot(uint32_t ttl_ms, SnapshotResponse* resp) {
+  std::string payload;
+  Status s = Request(Op::kSnapshot, &payload, EncodeSnapshotRequest, ttl_ms);
+  return s.ok() ? ParseSnapshotPayload(payload, resp) : s;
+}
+
+Status Client::ReleaseSnapshot(uint64_t snapshot_id) {
+  return Request(Op::kSnapshotRelease, nullptr, EncodeSnapshotReleaseRequest,
+                 snapshot_id);
+}
+
+Status Client::GetAt(const Slice& key, uint64_t snapshot_id,
+                     std::string* value) {
+  SnapshotRef snap;
+  snap.at_snapshot = true;
+  snap.id = snapshot_id;
+  return Request(Op::kGet, value, EncodeGetRequest, key, TraceContext(),
+                 snap);
+}
+
+Status Client::ScanAt(
+    const Slice& start, uint32_t limit, uint64_t snapshot_id,
+    std::vector<std::pair<std::string, std::string>>* out) {
+  Result r;
+  Status s = Call([&] { SubmitScanAt(start, limit, snapshot_id); }, &r);
+  if (s.ok()) out->swap(r.entries);
+  return s;
+}
+
+Status Client::ReplSubscribe(const ReplSubscribeRequest& request,
+                             ReplSubscribeResponse* resp) {
+  std::string payload;
+  Status s = Request(Op::kReplSubscribe, &payload,
+                     EncodeReplSubscribeRequest, request);
+  return s.ok() ? ParseReplSubscribePayload(payload, resp) : s;
+}
+
+Status Client::ReplFetch(const ReplBatchRequest& request,
+                         ReplBatchResponse* resp) {
+  std::string payload;
+  Status s =
+      Request(Op::kReplBatch, &payload, EncodeReplBatchRequest, request);
+  return s.ok() ? ParseReplBatchPayload(payload, resp) : s;
+}
+
+Status Client::ReplAck(const ReplAckRequest& request) {
+  return Request(Op::kReplAck, nullptr, EncodeReplAckRequest, request);
+}
+
+Status Client::ReplSnapshot(const ReplSnapshotRequest& request,
+                            ReplSnapshotResponse* resp) {
+  std::string payload;
+  Status s = Request(Op::kReplSnapshot, &payload, EncodeReplSnapshotRequest,
+                     request);
+  return s.ok() ? ParseReplSnapshotPayload(payload, resp) : s;
+}
+
+Status Client::Promote(uint32_t shard, uint64_t* new_epoch) {
+  std::string payload;
+  Status s = Request(Op::kPromote, &payload, EncodePromoteRequest, shard);
+  return s.ok() ? ParsePromotePayload(payload, new_epoch) : s;
 }
 
 // ShardedClient. ------------------------------------------------------
@@ -684,26 +588,35 @@ Status ShardedClient::Connect(const std::string& host, uint16_t port) {
     LearnEndpoints(router_.map(),
                    host + ":" + std::to_string(port));
   }
-  const std::vector<std::string>& endpoints = router_.map().endpoints;
-  const std::vector<uint8_t>& primaries = router_.map().primaries;
   // When the bootstrap server is not primary for some shard (it is a
   // replication follower), polling the full endpoint set finds the
   // primaries; otherwise connect straight to the advertised endpoints.
   bool bootstrap_serves_all = true;
-  for (uint8_t p : primaries) {
+  for (uint8_t p : router_.map().primaries) {
     if (p == 0) bootstrap_serves_all = false;
   }
-  if (!bootstrap_serves_all) {
-    Status s = RefreshRouting();
-    if (!s.ok()) Close();
-    return s;
+  Status s;
+  if (bootstrap_serves_all) {
+    std::vector<std::string> endpoints = router_.map().endpoints;
+    endpoints.resize(router_.num_shards());
+    s = OpenShardConns(endpoints);
+  } else {
+    s = RefreshRouting();
   }
-  conns_.reserve(router_.num_shards());
-  for (uint32_t shard = 0; shard < router_.num_shards(); shard++) {
-    std::string shard_host;
-    uint16_t shard_port = 0;
-    ResolveEndpoint(shard < endpoints.size() ? endpoints[shard] : "",
-                    host, port, &shard_host, &shard_port);
+  if (!s.ok()) Close();
+  return s;
+}
+
+Status ShardedClient::OpenShardConns(
+    const std::vector<std::string>& endpoints) {
+  std::vector<std::unique_ptr<Client>> conns;
+  std::vector<std::string> resolved;
+  conns.reserve(endpoints.size());
+  for (uint32_t shard = 0; shard < endpoints.size(); shard++) {
+    std::string host;
+    uint16_t port = 0;
+    ResolveEndpoint(endpoints[shard], bootstrap_host_, bootstrap_port_,
+                    &host, &port);
     // Each shard connection samples independently; perturb the seed so
     // two connections never derive the same trace id for the same
     // request ordinal.
@@ -713,15 +626,13 @@ Status ShardedClient::Connect(const std::string& host, uint16_t port) {
           options_.trace_seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1));
     }
     auto conn = std::make_unique<Client>(conn_options);
-    Status s = conn->Connect(shard_host, shard_port);
-    if (!s.ok()) {
-      Close();
-      return s;
-    }
-    conns_.push_back(std::move(conn));
-    resolved_endpoints_.push_back(shard_host + ":" +
-                                  std::to_string(shard_port));
+    Status s = conn->Connect(host, port);
+    if (!s.ok()) return s;
+    conns.push_back(std::move(conn));
+    resolved.push_back(host + ":" + std::to_string(port));
   }
+  conns_ = std::move(conns);
+  resolved_endpoints_ = std::move(resolved);
   return Status::OK();
 }
 
@@ -784,29 +695,9 @@ Status ShardedClient::RefreshRouting() {
     }
     chosen[shard] = pick->endpoint;
   }
-  // Swap in the refreshed routing only once every shard reconnected.
-  std::vector<std::unique_ptr<Client>> conns;
-  std::vector<std::string> endpoints;
-  conns.reserve(num_shards);
-  for (uint32_t shard = 0; shard < num_shards; shard++) {
-    std::string host;
-    uint16_t port = 0;
-    ResolveEndpoint(chosen[shard], bootstrap_host_, bootstrap_port_,
-                    &host, &port);
-    ClientOptions conn_options = options_;
-    if (conn_options.trace_sample_every > 0) {
-      conn_options.trace_seed =
-          options_.trace_seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1));
-    }
-    auto conn = std::make_unique<Client>(conn_options);
-    Status s = conn->Connect(host, port);
-    if (!s.ok()) return s;
-    conns.push_back(std::move(conn));
-    endpoints.push_back(host + ":" + std::to_string(port));
-  }
+  Status s = OpenShardConns(chosen);
+  if (!s.ok()) return s;
   router_ = std::move(views[0].router);
-  conns_ = std::move(conns);
-  resolved_endpoints_ = std::move(endpoints);
   return Status::OK();
 }
 
@@ -831,28 +722,41 @@ void ShardedClient::Backoff(uint32_t attempt) {
   }
 }
 
-bool ShardedClient::ShouldFailover(uint32_t shard,
-                                   const Status& s) const {
-  if (s.ok() || shard >= conns_.size()) return false;
-  // Transport loss (the conn closed itself) — a replica may serve the
-  // shard now; kNotPrimary — the map moved under us. Anything else
-  // (NotFound, Busy backpressure, validation) is the caller's to see.
-  if (!conns_[shard]->connected()) return true;
-  return conns_[shard]->last_wire_code() == kNotPrimary;
+Client* ShardedClient::ConnFor(uint32_t shard) const {
+  if (shard != kAllShards) return conns_[shard].get();
+  for (const std::string& endpoint : resolved_endpoints_) {
+    if (endpoint != resolved_endpoints_[0]) return nullptr;
+  }
+  return conns_[0].get();
+}
+
+bool ShardedClient::ShouldFailover(const Client* conn, const Status& s) {
+  if (s.ok()) return false;
+  // No single server, or transport loss (the conn closed itself) — a
+  // refresh may find one route again; kNotPrimary — the map moved under
+  // us. Anything else (NotFound, Busy backpressure, validation) is the
+  // caller's to see.
+  return conn == nullptr || !conn->connected() ||
+         conn->last_wire_code() == kNotPrimary;
 }
 
 Status ShardedClient::RetryShardOp(
     uint32_t shard, const std::function<Status(Client*)>& op) {
   Status s = RequireConnected();
   if (!s.ok()) return s;
-  s = op(conns_[shard].get());
+  Client* conn = nullptr;
+  auto attempt_op = [&] {
+    conn = ConnFor(shard);
+    return conn != nullptr ? op(conn) : SplitRouting();
+  };
+  s = attempt_op();
   for (uint32_t attempt = 0;
-       attempt < options_.max_retries && ShouldFailover(shard, s);
+       attempt < options_.max_retries && ShouldFailover(conn, s);
        attempt++) {
     Backoff(attempt);
     if (!RefreshRouting().ok()) continue;  // endpoints may come back
     failovers_++;
-    s = op(conns_[shard].get());
+    s = attempt_op();
   }
   return s;
 }
@@ -900,75 +804,9 @@ Status ShardedClient::MultiPut(
 Status ShardedClient::Scan(
     const Slice& start, uint32_t limit,
     std::vector<std::pair<std::string, std::string>>* out) {
-  Status s = RequireConnected();
-  if (!s.ok()) return s;
-  bool retriable = false;
-  s = ScanAttempt(start, limit, out, &retriable);
-  for (uint32_t attempt = 0;
-       attempt < options_.max_retries && !s.ok() && retriable;
-       attempt++) {
-    Backoff(attempt);
-    if (!RefreshRouting().ok()) continue;
-    failovers_++;
-    s = ScanAttempt(start, limit, out, &retriable);
-  }
-  return s;
-}
-
-Status ShardedClient::ScanAttempt(
-    const Slice& start, uint32_t limit,
-    std::vector<std::pair<std::string, std::string>>* out,
-    bool* retriable) {
-  *retriable = false;
-  // A server merges across every shard it hosts, so asking two conns
-  // that resolve to the same server would duplicate the result. Fan
-  // out to one representative connection per distinct endpoint; each
-  // may own up to `limit` of the smallest keys, so all are asked for
-  // the full limit and the merge trims.
-  std::vector<uint32_t> reps;
-  for (uint32_t shard = 0; shard < conns_.size(); shard++) {
-    bool seen = false;
-    for (uint32_t r : reps) {
-      if (resolved_endpoints_[r] == resolved_endpoints_[shard]) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) reps.push_back(shard);
-  }
-  if (reps.size() == 1) {
-    Status s = conns_[reps[0]]->Scan(start, limit, out);
-    if (!s.ok()) *retriable = ShouldFailover(reps[0], s);
-    return s;
-  }
-  for (uint32_t r : reps) {
-    conns_[r]->SubmitScan(start, limit);
-    Status st = conns_[r]->Flush();
-    if (!st.ok()) {
-      *retriable = !conns_[r]->connected();
-      return st;
-    }
-  }
-  std::vector<std::vector<std::pair<std::string, std::string>>>
-      per_server(reps.size());
-  for (size_t i = 0; i < reps.size(); i++) {
-    std::vector<Client::Result> results;
-    Status st = conns_[reps[i]]->WaitAll(&results);
-    if (!st.ok()) {
-      *retriable = !conns_[reps[i]]->connected();
-      return st;
-    }
-    if (results.size() != 1) {
-      return Status::Corruption("protocol", "scan fan-out mismatch");
-    }
-    if (!results[0].status.ok()) {
-      *retriable = results[0].wire_code == kNotPrimary;
-      return results[0].status;
-    }
-    per_server[i] = std::move(results[0].entries);
-  }
-  MergeShardScans(std::move(per_server), limit, out);
-  return Status::OK();
+  return RetryShardOp(kAllShards, [&](Client* conn) {
+    return conn->Scan(start, limit, out);
+  });
 }
 
 // Snapshot API. -------------------------------------------------------
@@ -1064,49 +902,14 @@ Status ShardedClient::ScanAt(
     std::vector<std::pair<std::string, std::string>>* out) {
   Status s = RequireConnected();
   if (!s.ok()) return s;
-  // Same per-distinct-endpoint fan-out as ScanAttempt, each with the
-  // server's own pin id — no retry: a refresh could route a shard to a
-  // server without the pin, silently breaking the cut.
-  std::vector<uint32_t> reps;
-  for (uint32_t shard = 0; shard < conns_.size(); shard++) {
-    bool seen = false;
-    for (uint32_t r : reps) {
-      if (resolved_endpoints_[r] == resolved_endpoints_[shard]) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) reps.push_back(shard);
+  Client* conn = ConnFor(kAllShards);
+  if (conn == nullptr) return SplitRouting();
+  uint64_t id = 0;
+  if (!SnapshotIdFor(snap, resolved_endpoints_[0], &id)) {
+    return Status::NotFound("snapshot_unknown",
+                            "shard routed away from its pinned server");
   }
-  std::vector<uint64_t> rep_ids(reps.size(), 0);
-  for (size_t i = 0; i < reps.size(); i++) {
-    if (!SnapshotIdFor(snap, resolved_endpoints_[reps[i]], &rep_ids[i])) {
-      return Status::NotFound("snapshot_unknown",
-                              "shard routed away from its pinned server");
-    }
-  }
-  if (reps.size() == 1) {
-    return conns_[reps[0]]->ScanAt(start, limit, rep_ids[0], out);
-  }
-  for (size_t i = 0; i < reps.size(); i++) {
-    conns_[reps[i]]->SubmitScanAt(start, limit, rep_ids[i]);
-    Status st = conns_[reps[i]]->Flush();
-    if (!st.ok()) return st;
-  }
-  std::vector<std::vector<std::pair<std::string, std::string>>>
-      per_server(reps.size());
-  for (size_t i = 0; i < reps.size(); i++) {
-    std::vector<Client::Result> results;
-    Status st = conns_[reps[i]]->WaitAll(&results);
-    if (!st.ok()) return st;
-    if (results.size() != 1) {
-      return Status::Corruption("protocol", "scan fan-out mismatch");
-    }
-    if (!results[0].status.ok()) return results[0].status;
-    per_server[i] = std::move(results[0].entries);
-  }
-  MergeShardScans(std::move(per_server), limit, out);
-  return Status::OK();
+  return conn->ScanAt(start, limit, id, out);
 }
 
 Status ShardedClient::Stats(std::string* json) {

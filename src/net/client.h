@@ -49,13 +49,13 @@ struct ClientOptions {
 /// Client speaks the CacheKV wire protocol over one TCP connection
 /// (docs/SERVER.md).
 ///
-/// Two usage styles share the connection:
-///   * synchronous calls (Put/Get/...) — one request, wait for its
-///     response;
-///   * pipelining — queue many requests with Submit*(), push them out
-///     with Flush(), then collect every response with WaitAll(). The
-///     server executes pipelined requests in order and may batch
-///     consecutive writes into one atomic commit.
+/// Every request takes one path: Submit*() queues it, Flush() pushes the
+/// queue out, and WaitAll() collects every response, checking, tracing
+/// and timing each one. The server executes pipelined requests in order
+/// and may batch consecutive writes into one atomic commit. The
+/// synchronous calls (Put/Get/...) are one-request pipelines: each
+/// checks that nothing is outstanding, queues its request, and collects
+/// its one response with WaitAll().
 ///
 /// A Client is NOT thread-safe: one connection, one thread (open one
 /// Client per thread for concurrency — connections are cheap). Any
@@ -157,7 +157,7 @@ class Client {
     /// Wire code of the response frame (kOk on success); failover
     /// logic keys on kNotPrimary without parsing the Status.
     uint16_t wire_code = 0;
-    /// GET: the value. SCAN: parse with ParseScanPayload via entries.
+    /// The payload of an OK response (GET: the value), except SCAN's.
     std::string value;
     /// SCAN results (filled only for kScan).
     std::vector<std::pair<std::string, std::string>> entries;
@@ -188,8 +188,20 @@ class Client {
     uint64_t start_ns = 0;  // stamped at Flush (0 until sent)
   };
 
-  uint64_t Enqueue(Op op, std::string encoded,
-                   const TraceContext& tc = TraceContext());
+  /// Records the request whose frame the caller just appended to
+  /// sendbuf_ under id next_id_, and returns that id.
+  uint64_t Enqueue(Op op, const TraceContext& tc = TraceContext());
+  /// Runs one synchronous call as a one-request pipeline: on an idle
+  /// connection, `submit` queues the request through Enqueue, and
+  /// WaitAll collects its response into *result (may be null).
+  template <typename Submit>
+  Status Call(const Submit& submit, Result* result = nullptr);
+  /// Call() for an unsampled request: its frame is
+  /// `encode(&sendbuf_, id, args...)`. On OK, *payload (may be null)
+  /// receives the response payload.
+  template <typename Encode, typename... Args>
+  Status Request(Op op, std::string* payload, Encode encode,
+                 const Args&... args);
   /// Decides whether the next keyed request is sampled and derives its
   /// trace id.
   TraceContext NextTrace();
@@ -197,10 +209,6 @@ class Client {
   Status SendAll(const char* data, size_t len);
   /// Reads until one complete frame is decoded into *frame.
   Status ReadFrame(Frame* frame);
-  /// Runs one synchronous request end-to-end.
-  Status RoundTrip(Op op, const std::string& request, Frame* response,
-                   std::string* payload_out);
-  Status RequireIdle() const;
   void FailConnection();
 
   ClientOptions options_;
@@ -216,12 +224,15 @@ class Client {
 /// ShardedClient routes every keyed operation to its owning shard on
 /// the client side: Connect() bootstraps off one address, fetches the
 /// server's SHARDMAP, and opens one connection per shard (to each
-/// shard's advertised endpoint, which today is the bootstrap address —
-/// see net/shard_router.h). GET/PUT/DEL go straight to the owning
-/// shard's connection; MULTIPUT is split per shard (atomic per shard,
-/// not across shards); SCAN fans out to every shard concurrently and
-/// returns the ordered k-way merge. Against an unsharded server this
-/// degenerates to a plain single-connection client.
+/// shard's advertised endpoint: a server advertises its own address for
+/// every shard it hosts — see net/shard_router.h). GET/PUT/DEL go
+/// straight to the owning shard's connection; MULTIPUT is split per
+/// shard (atomic per shard, not across shards). SCAN goes to the one
+/// server every shard routes to, which merges across its shards; when
+/// the shards route to more than one server (mid-failover), no server
+/// can answer for the whole range, so SCAN fails with not_primary
+/// without sending. Against an unsharded server this degenerates to a
+/// plain single-connection client.
 ///
 /// Failover (docs/REPLICATION.md): when a keyed operation fails on a
 /// broken connection or a kNotPrimary rejection, the client re-fetches
@@ -267,9 +278,10 @@ class ShardedClient {
   /// Splits the batch per shard; the first failing shard's status is
   /// returned but every shard's sub-batch is attempted.
   Status MultiPut(const std::vector<KVStore::BatchOp>& batch);
-  /// Fans the scan out once per distinct server endpoint (a server
-  /// already merges across the shards it hosts), then merges the
-  /// ordered per-server results down to `limit` entries (0 = no limit).
+  /// Scans `limit` entries (0 = no limit) from the one server every
+  /// shard routes to. Fails with not_primary without sending while the
+  /// shards route to more than one server; like a keyed op, it then
+  /// refreshes the routing and retries.
   Status Scan(const Slice& start, uint32_t limit,
               std::vector<std::pair<std::string, std::string>>* out);
   // Snapshot API (docs/SNAPSHOTS.md). -------------------------------
@@ -297,9 +309,11 @@ class ShardedClient {
   /// GET at the snapshot, routed to the owning shard.
   Status GetAt(const Slice& key, const ShardedSnapshot& snap,
                std::string* value);
-  /// SCAN at the snapshot: fans out per distinct endpoint with that
-  /// server's pin and k-way merges — one consistent cut even while
-  /// writers race.
+  /// SCAN at the snapshot, sent with the pin of the one server every
+  /// shard routes to — one consistent cut even while writers race.
+  /// Fails with not_primary without sending while the shards route to
+  /// more than one server; never retries, since a refresh could route
+  /// a shard to a server without the pin.
   Status ScanAt(const Slice& start, uint32_t limit,
                 const ShardedSnapshot& snap,
                 std::vector<std::pair<std::string, std::string>>* out);
@@ -326,19 +340,24 @@ class ShardedClient {
   /// a fetched map.
   void LearnEndpoints(const ShardMap& map, const std::string& source);
   void RememberEndpoint(const std::string& endpoint);
-  /// True when `s` (returned by conns_[shard]) warrants a map refresh
-  /// and retry: the connection died, or the server answered
-  /// kNotPrimary.
-  bool ShouldFailover(uint32_t shard, const Status& s) const;
-  /// Runs `op` against conns_[shard] with the retry/refresh loop.
+  /// Opens one connection per shard, shard i to `endpoints[i]`
+  /// (resolved against the bootstrap address), and swaps them in only
+  /// once every shard connected.
+  Status OpenShardConns(const std::vector<std::string>& endpoints);
+  /// RetryShardOp's shard for an op over the whole key range.
+  static constexpr uint32_t kAllShards = UINT32_MAX;
+  /// The connection serving `shard`; for kAllShards, the connection to
+  /// the one server every shard routes to, or null when they route to
+  /// more than one.
+  Client* ConnFor(uint32_t shard) const;
+  /// True when `s`, returned by `conn` (null: the shards route to more
+  /// than one server), warrants a map refresh and retry: no single
+  /// server, the connection died, or the server answered kNotPrimary.
+  static bool ShouldFailover(const Client* conn, const Status& s);
+  /// Runs `op` against ConnFor(shard) with the retry/refresh loop.
   Status RetryShardOp(uint32_t shard,
                       const std::function<Status(Client*)>& op);
   void Backoff(uint32_t attempt);
-  /// One scan fan-out over the current routing; sets *retriable when
-  /// the failure warrants a refresh+retry.
-  Status ScanAttempt(const Slice& start, uint32_t limit,
-                     std::vector<std::pair<std::string, std::string>>* out,
-                     bool* retriable);
   /// The per-server snapshot id pinned for `endpoint` (false when the
   /// snapshot holds no pin there — routing moved since the pin).
   static bool SnapshotIdFor(const ShardedSnapshot& snap,
@@ -348,7 +367,7 @@ class ShardedClient {
   ShardRouter router_;
   std::vector<std::unique_ptr<Client>> conns_;  // one per shard
   // Resolved "host:port" per connection; shards co-hosted by one
-  // server share the string, which SCAN uses to fan out per server.
+  // server share the string (SCAN and the snapshot calls key on it).
   std::vector<std::string> resolved_endpoints_;
   // Every "host:port" ever learned (bootstrap, map endpoints, replica
   // sets, seeds) — the candidate list RefreshRouting polls.

@@ -127,15 +127,17 @@ constexpr size_t kRecordOverhead = 64;
 
 }  // namespace
 
-/// Per-request stage clock feeding both halves of the telemetry plane:
-/// each Stage() call closes the window since the previous mark, emitting
-/// a tracer span tagged with the trace id of every traced request it
-/// covers and accumulating the stage into a SlowLogEntry. Finish() —
-/// called from the destructor — records the entry when the requests
-/// exceeded the slow threshold. A write run is timed as one unit: its
-/// members share every stage, and its slow-log entry carries op 255
-/// ("batch"). Inert (no clock reads) when no request is traced and the
-/// slow log is off.
+/// The one clock of a request: it times the request into its
+/// net.op.<op> histogram (ns, every request), emits its net.<op> trace
+/// span (when the tracer is on, with up to two args), and feeds both
+/// halves of the telemetry plane: each Stage() call closes the window
+/// since the previous mark, emitting a tracer span tagged with the trace
+/// id of every traced request it covers and accumulating the stage into
+/// a SlowLogEntry. Finish() — called from the destructor — records all
+/// three. A write run is timed as one unit: its members share every
+/// stage, and its slow-log entry carries op 255 ("batch"). Stages are
+/// inert (no clock reads) when no request is traced and the slow log is
+/// off.
 class Server::RequestTimeline {
  public:
   /// Times the `count` requests frames[0..count).
@@ -143,8 +145,12 @@ class Server::RequestTimeline {
                   uint32_t queue_depth)
       : server_(server),
         tracer_(server->primary()->trace()),
+        histogram_(server->primary()->metrics()->GetHistogram(
+            OpHistogramName(frames[0].op))),
+        span_(tracer_->enabled() ? OpTraceName(frames[0].op) : nullptr),
         frames_(frames),
-        count_(count) {
+        count_(count),
+        start_ns_(tracer_->NowNs()) {
     for (size_t i = 0; i < count_ && !traced_; i++) {
       traced_ = frames_[i].traced;
       entry_.trace_id = frames_[i].trace_id;
@@ -155,7 +161,7 @@ class Server::RequestTimeline {
                    : 0;
     active_ = traced_ || slow_ns_ > 0;
     if (!active_) return;
-    start_ns_ = last_ns_ = tracer_->NowNs();
+    last_ns_ = start_ns_;
     entry_.op = count_ > 1 ? 255 : static_cast<uint8_t>(frames_[0].op);
     entry_.queue_depth = queue_depth;
   }
@@ -185,6 +191,19 @@ class Server::RequestTimeline {
     if (active_) entry_.SetKey(key.data(), key.size());
   }
 
+  /// Attaches an integer arg to the net.<op> span; the first two stick.
+  /// `name` must be a string literal.
+  void AddArg(const char* name, uint64_t value) {
+    if (span_ == nullptr) return;
+    if (arg1_name_ == nullptr) {
+      arg1_name_ = name;
+      arg1_ = value;
+    } else if (arg2_name_ == nullptr) {
+      arg2_name_ = name;
+      arg2_ = value;
+    }
+  }
+
   /// The trace context for the response to frames[member]: echoes its
   /// trace id and reports the service time measured so far.
   TraceContext ResponseContext(size_t member = 0) const {
@@ -198,12 +217,16 @@ class Server::RequestTimeline {
   }
 
   void Finish() {
-    if (!active_ || finished_) return;
+    if (finished_) return;
     finished_ = true;
-    if (slow_ns_ == 0) return;
     const uint64_t now = tracer_->NowNs();
     const uint64_t total = now - start_ns_;
-    if (total < slow_ns_) return;
+    histogram_->Record(static_cast<double>(total));
+    if (span_ != nullptr) {
+      tracer_->Complete(span_, start_ns_, total, arg1_name_, arg1_,
+                        arg2_name_, arg2_);
+    }
+    if (slow_ns_ == 0 || total < slow_ns_) return;
     entry_.ts_ns = now;
     entry_.total_us = total / 1000;
     obs::SlowLog* log = server_->slow_log_.get();
@@ -217,6 +240,12 @@ class Server::RequestTimeline {
  private:
   Server* server_;
   obs::Tracer* tracer_;
+  obs::ShardedHistogram* histogram_;
+  const char* span_;  // the net.<op> span name; null: tracer off
+  const char* arg1_name_ = nullptr;
+  uint64_t arg1_ = 0;
+  const char* arg2_name_ = nullptr;
+  uint64_t arg2_ = 0;
   const Frame* frames_;
   size_t count_;
   bool traced_ = false;  // any covered request is traced
@@ -250,12 +279,12 @@ struct Server::SnapshotEntry {
 };
 
 /// One write run from decode to response: the requests' outcomes, the
-/// run's span, trace scope and timeline, and — when follower acks are
-/// needed — one ack wait per committed shard. Inline runs live on the
-/// stack and read their frames in place. A run that waits for acks
-/// lives on the heap, owned by its parked connection, and keeps header
-/// copies of its frames (request ids and trace contexts); their
-/// payloads, which point into the decoder, are cleared once committed.
+/// run's timeline, and — when follower acks are needed — one ack wait
+/// per committed shard. Inline runs live on the stack and read their
+/// frames in place. A run that waits for acks lives on the heap, owned
+/// by its parked connection, and keeps header copies of its frames
+/// (request ids and trace contexts); their payloads, which point into
+/// the decoder, are cleared once committed.
 struct Server::WriteRun {
   WriteRun(Server* server, const Frame* run, size_t n,
            uint32_t queue_depth, bool parkable)
@@ -263,8 +292,6 @@ struct Server::WriteRun {
                         : std::vector<Frame>()),
         frames(parkable ? copies.data() : run),
         count(n),
-        span(server->primary()->metrics(), OpHistogramName(run[0].op)),
-        trace(server->primary()->trace(), OpTraceName(run[0].op)),
         timeline(server, frames, n, queue_depth),
         reqs(n) {}
 
@@ -285,8 +312,6 @@ struct Server::WriteRun {
   std::vector<Frame> copies;  // parkable runs only
   const Frame* frames;
   size_t count;
-  obs::SpanTimer span;
-  obs::TraceScope trace;
   RequestTimeline timeline;
   std::vector<Request> reqs;
   /// Each shard's latest commit in this run (0 = nothing committed).
@@ -348,9 +373,6 @@ struct Server::Worker {
   std::atomic<bool> wake_pending{false};
   std::thread thread;
 };
-
-Server::Server(DB* db, const ServerOptions& options)
-    : Server(std::vector<DB*>{db}, ShardRouter(), options) {}
 
 Server::Server(std::vector<DB*> shards, const ShardRouter& router,
                const ServerOptions& options)
@@ -962,7 +984,7 @@ bool Server::TryResume(Conn* conn,
   if (!settled) return false;
   run->timeline.Stage("req.repl");
   RespondWrites(conn, run);
-  conn->parked_run.reset();  // closes the run's span and timeline
+  conn->parked_run.reset();  // closes the run's timeline
   return true;
 }
 
@@ -1178,13 +1200,13 @@ size_t Server::HandleWrites(Worker* worker, Conn* conn, size_t begin,
 
 void Server::CommitWrites(WriteRun* run) {
   const size_t count = run->count;
-  run->trace.AddArg("requests", count);
+  run->timeline.AddArg("requests", count);
   for (size_t i = 0; i < count; i++) {
     const Frame& f = run->frames[i];
     WriteRun::Request& r = run->reqs[i];
     if (f.traced) {
       traced_requests_->Increment();
-      run->trace.AddArg("trace", f.trace_id);
+      run->timeline.AddArg("trace", f.trace_id);
     }
     r.code = Admit(f, &r.error);
     if (r.code != kOk) continue;
@@ -1369,12 +1391,10 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
   requests_->Increment();
   const Op op = frame.op;
   const uint64_t id = frame.request_id;
-  obs::SpanTimer span(primary()->metrics(), OpHistogramName(op));
-  obs::TraceScope trace(primary()->trace(), OpTraceName(op));
   RequestTimeline timeline(this, &frame, 1, queue_depth);
   if (frame.traced) {
     traced_requests_->Increment();
-    trace.AddArg("trace", frame.trace_id);
+    timeline.AddArg("trace", frame.trace_id);
   }
 
   // Every response echoes the trace context of a traced request (with
@@ -1537,40 +1557,30 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
           return;
         }
       }
-      std::vector<std::pair<std::string, std::string>> entries;
-      if (dbs_.size() == 1) {
-        shard_requests_[0]->Increment();
+      // Each shard holds an arbitrary slice of the range, so every
+      // shard scans up to the full limit and the ordered k-way merge
+      // trims the union back down. At a snapshot, each shard scans at
+      // its own pinned sequence — together the per-shard cut the
+      // SNAPSHOT op froze.
+      std::vector<std::vector<std::pair<std::string, std::string>>>
+          per_shard(dbs_.size());
+      for (uint32_t shard = 0; s.ok() && shard < dbs_.size(); shard++) {
+        shard_requests_[shard]->Increment();
         s = snap != nullptr
-                ? primary()->ScanAt(req.start, req.limit, snap->seqs[0],
-                                    &entries)
-                : primary()->Scan(req.start, req.limit, &entries);
-      } else {
-        // Each shard holds an arbitrary slice of the range, so every
-        // shard scans up to the full limit and the ordered k-way merge
-        // trims the union back down. At a snapshot, each shard scans at
-        // its own pinned sequence — together the per-shard cut the
-        // SNAPSHOT op froze.
-        std::vector<std::vector<std::pair<std::string, std::string>>>
-            per_shard(dbs_.size());
-        for (uint32_t shard = 0; s.ok() && shard < dbs_.size(); shard++) {
-          shard_requests_[shard]->Increment();
-          s = snap != nullptr
-                  ? dbs_[shard]->ScanAt(req.start, req.limit,
-                                        snap->seqs[shard],
-                                        &per_shard[shard])
-                  : dbs_[shard]->Scan(req.start, req.limit,
-                                      &per_shard[shard]);
-        }
-        if (s.ok()) {
-          MergeShardScans(std::move(per_shard), req.limit, &entries);
-        }
+                ? dbs_[shard]->ScanAt(req.start, req.limit,
+                                      snap->seqs[shard], &per_shard[shard])
+                : dbs_[shard]->Scan(req.start, req.limit, &per_shard[shard]);
+      }
+      std::vector<std::pair<std::string, std::string>> entries;
+      if (s.ok()) {
+        MergeShardScans(std::move(per_shard), req.limit, &entries);
       }
       timeline.Stage("req.db");
       if (!s.ok()) {
         respond_error(WireCodeOf(s), s.ToString());
         return;
       }
-      trace.AddArg("entries", entries.size());
+      timeline.AddArg("entries", entries.size());
       std::string payload;
       EncodeScanPayload(&payload, entries);
       respond_ok(payload);

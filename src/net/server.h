@@ -81,20 +81,22 @@ struct ServerOptions {
   repl::ReplHub* repl = nullptr;
 };
 
-/// Server exposes one DB — or N sharded DB instances — over TCP,
-/// speaking the length-prefixed frame protocol of net/protocol.h.
+/// Server exposes N sharded DB instances over TCP, speaking the
+/// length-prefixed frame protocol of net/protocol.h.
 ///
-/// Sharding: the N-shard constructor serves independent DB instances
-/// behind one listening socket. Every keyed request is routed through a
-/// consistent-hash ShardRouter (net/shard_router.h), so plain clients
-/// work unchanged; SHARDMAP hands the encoded ring to sharded clients
-/// that want to route on their side. MULTIPUT batches are split per
-/// shard (atomic per shard, not across shards) and SCAN is answered as
-/// an ordered k-way merge of the per-shard scans. Shard 0 is the
-/// "primary": server-wide net.* instruments and trace spans live in its
-/// registry; each shard additionally counts the requests routed to it
-/// as net.shard.requests in its own registry, and STATS returns one
-/// JSON document with every shard's dump under a "shard.<i>" label.
+/// Sharding: the server serves N independent DB instances behind one
+/// listening socket; an unsharded store is N = 1 (`{db}` and a default
+/// ShardRouter, the 1-shard identity ring). Every keyed request is
+/// routed through a consistent-hash ShardRouter (net/shard_router.h),
+/// so plain clients work unchanged; SHARDMAP hands the encoded ring to
+/// sharded clients that want to route on their side. MULTIPUT batches
+/// are split per shard (atomic per shard, not across shards) and SCAN
+/// is answered as an ordered k-way merge of the per-shard scans. Shard
+/// 0 is the "primary": server-wide net.* instruments and trace spans
+/// live in its registry; each shard additionally counts the requests
+/// routed to it as net.shard.requests in its own registry. STATS
+/// returns the primary's dump as is when N = 1, and otherwise one JSON
+/// document with every shard's dump under a "shard.<i>" label.
 ///
 /// Threading: one acceptor thread multiplexes the listening socket; N
 /// worker threads each run an event loop (epoll on Linux, poll(2)
@@ -111,7 +113,8 @@ struct ServerOptions {
 ///
 /// Integration: counters and per-op latency histograms go to the
 /// primary DB's MetricsRegistry under "net.*" (so STATS serves one
-/// unified dump), request spans to its Tracer, and the
+/// unified dump), request spans to its Tracer — both timed by one
+/// RequestTimeline per request or write run — and the
 /// accept/read/write/decode paths carry "net.*" fail points
 /// (src/fault). When a shard has degraded to read-only, write requests
 /// routed to it are rejected with the kReadOnly wire code carrying that
@@ -150,10 +153,8 @@ struct ServerOptions {
 /// about the server, they only see plain concurrent callers.
 class Server {
  public:
-  /// Single-store server (shard count 1, identity routing).
-  Server(DB* db, const ServerOptions& options);
-  /// Sharded server: `shards` and `router.num_shards()` must agree, and
-  /// every pointer must outlive the server. The router is copied.
+  /// `shards` and `router.num_shards()` must agree, and every pointer
+  /// must outlive the server. The router is copied.
   Server(std::vector<DB*> shards, const ShardRouter& router,
          const ServerOptions& options);
   ~Server();

@@ -178,7 +178,8 @@ TEST_F(CacheCoherenceTest, NoStaleAckedOverwriteSingleShard) {
   srv.port = 0;
   srv.hot_key_cache_bytes = 1u << 20;
   srv.hot_key_cache_admit = 1;  // fill on first miss: maximal race surface
-  server_ = std::make_unique<net::Server>(db_.get(), srv);
+  server_ = std::make_unique<net::Server>(
+      std::vector<DB*>{db_.get()}, net::ShardRouter(), srv);
   ASSERT_TRUE(server_->Start().ok());
 
   ArmChaos();
@@ -197,7 +198,8 @@ TEST_F(CacheCoherenceTest, PoisonedFillsNeverServeWhileDropped) {
   srv.port = 0;
   srv.hot_key_cache_bytes = 1u << 20;
   srv.hot_key_cache_admit = 1;
-  server_ = std::make_unique<net::Server>(db_.get(), srv);
+  server_ = std::make_unique<net::Server>(
+      std::vector<DB*>{db_.get()}, net::ShardRouter(), srv);
   ASSERT_TRUE(server_->Start().ok());
 
   auto* reg = fault::FailPointRegistry::Global();

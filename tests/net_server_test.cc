@@ -67,7 +67,8 @@ class NetServerTest : public ::testing::Test {
 
   void StartServer(net::ServerOptions srv = net::ServerOptions()) {
     srv.port = 0;  // ephemeral
-    server_ = std::make_unique<net::Server>(db_.get(), srv);
+    server_ = std::make_unique<net::Server>(
+        std::vector<DB*>{db_.get()}, net::ShardRouter(), srv);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(0, server_->port());
   }
@@ -232,6 +233,37 @@ TEST_F(NetServerTest, PipelinedWritesAreBatchedAndAcknowledged) {
   EXPECT_TRUE(results[2].status.ok());
   EXPECT_EQ(id_miss, results[3].id);
   EXPECT_TRUE(results[3].status.IsNotFound());
+}
+
+// A synchronous call is a one-request pipeline on an idle connection:
+// with pipelined requests outstanding it fails without sending, and the
+// queued requests' results are still WaitAll's, in order.
+TEST_F(NetServerTest, SyncCallRequiresAnIdleConnection) {
+  StartServer();
+  net::Client client;
+  MakeClient(&client);
+
+  const uint64_t id_a = client.SubmitPut("idle-a", "1");
+  const uint64_t id_b = client.SubmitPut("idle-b", "2");
+  std::string value;
+  Status s = client.Get("idle-a", &value);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(0, client.last_wire_code());
+  EXPECT_EQ(2u, client.outstanding());
+
+  std::vector<net::Client::Result> results;
+  ASSERT_TRUE(client.WaitAll(&results).ok());
+  ASSERT_EQ(2u, results.size());
+  EXPECT_EQ(id_a, results[0].id);
+  EXPECT_EQ(id_b, results[1].id);
+  for (const auto& r : results) {
+    EXPECT_EQ(net::Op::kPut, r.op);
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+
+  ASSERT_TRUE(client.Get("idle-a", &value).ok());
+  EXPECT_EQ("1", value);
+  EXPECT_EQ(net::kOk, client.last_wire_code());
 }
 
 // One bad request in a pipelined write run fails alone: the run's
@@ -457,7 +489,8 @@ TEST_F(NetServerTest, StopIsIdempotentAndRestartable) {
   EXPECT_FALSE(server_->running());
 
   // A fresh server over the same DB picks the data right up.
-  server_ = std::make_unique<net::Server>(db_.get(), net::ServerOptions());
+  server_ = std::make_unique<net::Server>(
+      std::vector<DB*>{db_.get()}, net::ShardRouter(), net::ServerOptions());
   ASSERT_TRUE(server_->Start().ok());
   net::Client again;
   MakeClient(&again);

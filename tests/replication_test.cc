@@ -137,7 +137,8 @@ struct Node {
     sopts.port = port;
     sopts.num_workers = num_workers;
     sopts.repl = hub.get();
-    server = std::make_unique<net::Server>(db.get(), sopts);
+    server = std::make_unique<net::Server>(
+        std::vector<DB*>{db.get()}, net::ShardRouter(), sopts);
     ASSERT_TRUE(server->Start().ok());
     endpoint = "127.0.0.1:" + std::to_string(server->port());
     hub->SetSelfEndpoint(endpoint);
@@ -152,6 +153,80 @@ struct Node {
   ~Node() {
     Kill();
     if (db) db->WaitIdle();
+  }
+};
+
+/// A replicated node serving two shards, one DB each, behind one server
+/// and hub; wired like Node.
+struct TwoShardNode {
+  std::vector<std::unique_ptr<PmemEnv>> envs;
+  std::vector<std::unique_ptr<DB>> dbs;
+  std::vector<DB*> ptrs;
+  std::unique_ptr<repl::ReplHub> hub;
+  std::unique_ptr<net::Server> server;
+  std::string endpoint;
+
+  void Start(const net::ShardRouter& router, const repl::ReplOptions& ropts,
+             uint16_t port) {
+    CacheKVOptions dbopts = TestDb();
+    for (uint32_t i = 0; i < router.num_shards(); i++) {
+      envs.push_back(std::make_unique<PmemEnv>(TestEnv(dbopts.pool_bytes)));
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(envs.back().get(), dbopts, false, &db).ok());
+      ptrs.push_back(db.get());
+      dbs.push_back(std::move(db));
+    }
+    hub = std::make_unique<repl::ReplHub>(ropts, ptrs);
+    hub->AttachCommitHooks();
+    net::ServerOptions sopts;
+    sopts.port = port;
+    sopts.repl = hub.get();
+    server = std::make_unique<net::Server>(ptrs, router, sopts);
+    ASSERT_TRUE(server->Start().ok());
+    endpoint = "127.0.0.1:" + std::to_string(server->port());
+    hub->SetSelfEndpoint(endpoint);
+    hub->Start();
+  }
+
+  ~TwoShardNode() {
+    if (server) server->Stop();
+    if (hub) hub->Stop();
+    for (DB* db : ptrs) db->WaitIdle();
+  }
+};
+
+/// A two-shard quorum primary and its follower, over `router`.
+/// Declared primary first, so the follower stops first and its pulls
+/// end before the primary goes.
+struct TwoShardPair {
+  net::ShardRouter router;
+  TwoShardNode primary;
+  TwoShardNode follower;
+
+  void Start() {
+    net::ShardMap map;
+    map.num_shards = 2;
+    ASSERT_TRUE(net::ShardRouter::Build(map, &router).ok());
+    const uint16_t follower_port = PickPort();
+    repl::ReplOptions popts;
+    popts.ack = repl::AckPolicy::kQuorum;
+    popts.ack_timeout_ms = 10'000;
+    popts.replicas = {"127.0.0.1:" + std::to_string(follower_port)};
+    primary.Start(router, popts, 0);
+    repl::ReplOptions fopts;
+    fopts.primary_endpoint = primary.endpoint;
+    follower.Start(router, fopts, follower_port);
+  }
+
+  /// Keys `prefix`0, `prefix`1, ... that route to `shard`.
+  std::vector<std::string> KeysOn(uint32_t shard, const std::string& prefix,
+                                  size_t n) const {
+    std::vector<std::string> keys;
+    for (int i = 0; keys.size() < n; i++) {
+      const std::string key = prefix + std::to_string(i);
+      if (router.ShardOf(key) == shard) keys.push_back(key);
+    }
+    return keys;
   }
 };
 
@@ -905,8 +980,8 @@ TEST_F(ReplicationTest, BootstrapSweepsKeysTheSnapshotDoesNotCarry) {
     net::ServerOptions sopts;
     sopts.port = follower_port;
     sopts.repl = follower.hub.get();
-    follower.server =
-        std::make_unique<net::Server>(follower.db.get(), sopts);
+    follower.server = std::make_unique<net::Server>(
+        std::vector<DB*>{follower.db.get()}, net::ShardRouter(), sopts);
     ASSERT_TRUE(follower.server->Start().ok());
     follower.endpoint =
         "127.0.0.1:" + std::to_string(follower.server->port());
@@ -1198,66 +1273,12 @@ TEST_F(ReplicationTest, StopWithParkedWriteReturnsPromptly) {
 // its fetch there is held — but an append to shard 1 releases it, so
 // quorum writes to shard 1 never wait out the hold.
 TEST_F(ReplicationTest, IdleShardFetchHoldDoesNotDelayOtherShard) {
-  constexpr uint32_t kShards = 2;
-  net::ShardMap map;
-  map.num_shards = kShards;
-  net::ShardRouter router;
-  ASSERT_TRUE(net::ShardRouter::Build(map, &router).ok());
-  struct Side {
-    std::vector<std::unique_ptr<PmemEnv>> envs;
-    std::vector<std::unique_ptr<DB>> dbs;
-    std::vector<DB*> ptrs;
-    std::unique_ptr<repl::ReplHub> hub;
-    std::unique_ptr<net::Server> server;
-    ~Side() {
-      if (server) server->Stop();
-      if (hub) hub->Stop();
-      for (DB* db : ptrs) db->WaitIdle();
-    }
-  };
-  auto start = [&](Side* side, const repl::ReplOptions& ropts,
-                   uint16_t port) {
-    CacheKVOptions dbopts = TestDb();
-    for (uint32_t i = 0; i < kShards; i++) {
-      side->envs.push_back(
-          std::make_unique<PmemEnv>(TestEnv(dbopts.pool_bytes)));
-      std::unique_ptr<DB> db;
-      ASSERT_TRUE(DB::Open(side->envs.back().get(), dbopts, false, &db).ok());
-      side->ptrs.push_back(db.get());
-      side->dbs.push_back(std::move(db));
-    }
-    side->hub = std::make_unique<repl::ReplHub>(ropts, side->ptrs);
-    side->hub->AttachCommitHooks();
-    net::ServerOptions sopts;
-    sopts.port = port;
-    sopts.repl = side->hub.get();
-    side->server = std::make_unique<net::Server>(side->ptrs, router, sopts);
-    ASSERT_TRUE(side->server->Start().ok());
-    side->hub->SetSelfEndpoint("127.0.0.1:" +
-                               std::to_string(side->server->port()));
-    side->hub->Start();
-  };
-  // Declared first so it stops last: the follower's pulls end first.
-  Side primary;
-  Side follower;
-  const uint16_t follower_port = PickPort();
-  repl::ReplOptions popts;
-  popts.ack = repl::AckPolicy::kQuorum;
-  popts.ack_timeout_ms = 10'000;
-  popts.replicas = {"127.0.0.1:" + std::to_string(follower_port)};
-  start(&primary, popts, 0);
-  repl::ReplOptions fopts;
-  fopts.primary_endpoint =
-      "127.0.0.1:" + std::to_string(primary.server->port());
-  start(&follower, fopts, follower_port);
-
-  std::vector<std::string> shard1_keys;
-  for (int i = 0; shard1_keys.size() < 21; i++) {
-    const std::string key = "idle-" + std::to_string(i);
-    if (router.ShardOf(key) == 1) shard1_keys.push_back(key);
-  }
+  TwoShardPair pair;
+  ASSERT_NO_FATAL_FAILURE(pair.Start());
+  const std::vector<std::string> shard1_keys = pair.KeysOn(1, "idle-", 21);
   net::Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", primary.server->port()).ok());
+  ASSERT_TRUE(
+      client.Connect("127.0.0.1", pair.primary.server->port()).ok());
   ASSERT_TRUE(PutAcked(&client, shard1_keys[0], "warm").ok());
   std::vector<int64_t> ms;
   for (size_t i = 1; i < shard1_keys.size(); i++) {
@@ -1269,6 +1290,76 @@ TEST_F(ReplicationTest, IdleShardFetchHoldDoesNotDelayOtherShard) {
   // Waiting out a hold costs about kFetchHoldMs per write.
   EXPECT_LT(ms[ms.size() / 2], repl::kFetchHoldMs / 2)
       << "median quorum PUT on shard 1 waited out the shard-0 hold";
+}
+
+// Mid-failover the shards route to two servers: the follower promoted
+// for shard 1, the old primary kept shard 0. No server can answer a
+// SCAN for the whole range then (each is primary for only one of the
+// shards it hosts), so SCAN and SCAN-at-snapshot fail not_primary —
+// and leave every shard connection usable for the keyed calls after.
+TEST_F(ReplicationTest, SplitPrimaryScanFailsAndLeavesConnectionsUsable) {
+  TwoShardPair pair;
+  ASSERT_NO_FATAL_FAILURE(pair.Start());
+  const std::string key = pair.KeysOn(1, "split-", 1)[0];
+  net::Client client;
+  ASSERT_TRUE(
+      client.Connect("127.0.0.1", pair.primary.server->port()).ok());
+  ASSERT_TRUE(PutAcked(&client, key, "before-split").ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::string applied;
+  while (!pair.follower.dbs[1]->Get(key, &applied).ok() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ("before-split", applied);
+
+  // PROMOTE shard 1 on the follower; it fences the old primary's shard 1.
+  net::Client admin;
+  ASSERT_TRUE(
+      admin.Connect("127.0.0.1", pair.follower.server->port()).ok());
+  uint64_t epoch = 0;
+  ASSERT_TRUE(admin.Promote(1, &epoch).ok());
+  while (pair.primary.hub->IsPrimary(1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_FALSE(pair.primary.hub->IsPrimary(1));
+  ASSERT_TRUE(pair.primary.hub->IsPrimary(0));
+
+  auto connect_split = [&](net::ShardedClient* sc) {
+    sc->AddSeedEndpoint(pair.follower.endpoint);
+    ASSERT_TRUE(sc->Connect("127.0.0.1", pair.primary.server->port()).ok());
+    ASSERT_EQ(2u, sc->num_shards());
+  };
+  std::vector<std::pair<std::string, std::string>> rows;
+  std::string value;
+  {
+    net::ShardedClient sc;
+    ASSERT_NO_FATAL_FAILURE(connect_split(&sc));
+    Status s = sc.Scan("", 0, &rows);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find("not_primary"))
+        << s.ToString();
+    s = sc.Get(key, &value);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ("before-split", value);
+  }
+  {
+    net::ShardedClient sc;
+    ASSERT_NO_FATAL_FAILURE(connect_split(&sc));
+    net::ShardedClient::ShardedSnapshot snap;
+    ASSERT_TRUE(sc.CreateSnapshot(0, &snap).ok());
+    EXPECT_EQ(2u, snap.server_ids.size());
+    Status s = sc.ScanAt("", 0, snap, &rows);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find("not_primary"))
+        << s.ToString();
+    s = sc.GetAt(key, snap, &value);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ("before-split", value);
+    EXPECT_TRUE(sc.ReleaseSnapshot(snap).ok());
+  }
 }
 
 // Concurrent quorum writers on two workers: every ack, append and

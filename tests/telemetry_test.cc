@@ -99,7 +99,8 @@ class TelemetryTest : public ::testing::Test {
 
   void StartServer(net::ServerOptions srv = net::ServerOptions()) {
     srv.port = 0;  // ephemeral
-    server_ = std::make_unique<net::Server>(db_.get(), srv);
+    server_ = std::make_unique<net::Server>(
+        std::vector<DB*>{db_.get()}, net::ShardRouter(), srv);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(0, server_->port());
   }
