@@ -26,7 +26,9 @@ struct HotKeyCache::Stripe {
   std::mutex mu;
   /// Front = most recently used.
   std::list<Entry> lru;
-  std::unordered_map<std::string, std::list<Entry>::iterator> index;
+  /// Keyed by views of the entries' own keys, so each key is stored once
+  /// (list nodes never move) and a probe allocates nothing.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
   size_t charge = 0;
   /// Invalidation guard epochs, hashed per key. Only ever touched under
   /// `mu`, which is what makes the fill-token protocol airtight (see
@@ -68,6 +70,7 @@ HotKeyCache::HotKeyCache(const HotKeyCacheOptions& options,
   admissions_ = registry->GetCounter("cache.admissions");
   evictions_ = registry->GetCounter("cache.evictions");
   invalidations_ = registry->GetCounter("cache.invalidations");
+  refreshes_ = registry->GetCounter("cache.refreshes");
   rejected_fills_ = registry->GetCounter("cache.rejected_fills");
   filtered_ = registry->GetCounter("cache.filtered");
   entries_gauge_ = registry->GetGauge("cache.entries");
@@ -127,8 +130,7 @@ bool HotKeyCache::Lookup(const Slice& key, std::string* value,
   Stripe* stripe = StripeFor(hash);
   const uint32_t slot = static_cast<uint32_t>(hash >> 32) & slot_mask_;
   std::lock_guard<std::mutex> lock(stripe->mu);
-  auto it = stripe->index.find(
-      std::string(key.data(), key.size()));
+  auto it = stripe->index.find(key.ToStringView());
   if (it != stripe->index.end()) {
     *value = it->second->value;
     stripe->lru.splice(stripe->lru.begin(), stripe->lru, it->second);
@@ -145,7 +147,7 @@ bool HotKeyCache::Lookup(const Slice& key, std::string* value,
 }
 
 bool HotKeyCache::Insert(const Slice& key, const Slice& value,
-                         const FillToken& token) {
+                         const FillToken& token, uint64_t seq) {
   if (fault::AnyActive()) {
     // "cache.poison": a delay here widens the classic miss -> overwrite
     // -> stale-fill window the token guard exists for; an error drops
@@ -179,75 +181,114 @@ bool HotKeyCache::Insert(const Slice& key, const Slice& value,
 
   Stripe* stripe = StripeFor(hash);
   const uint32_t slot = static_cast<uint32_t>(hash >> 32) & slot_mask_;
-  const size_t charge = key.size() + value.size() + kEntryOverhead;
   std::lock_guard<std::mutex> lock(stripe->mu);
   if (stripe->guard[slot] != token.epoch) {
-    // A write invalidated this key (or a guard-slot neighbor) after our
+    // A write touched this key (or a guard-slot neighbor) after our
     // Lookup miss: the value in hand may predate an acked overwrite.
     rejected_fills_->Increment();
     return false;
   }
-  std::string key_str(key.data(), key.size());
-  auto it = stripe->index.find(key_str);
+  auto it = stripe->index.find(key.ToStringView());
   if (it != stripe->index.end()) {
-    // Another reader filled it first; refresh the value (same epoch, so
-    // both fills are safe) and the LRU position.
-    total_charge_.fetch_sub(it->second->charge, std::memory_order_relaxed);
-    stripe->charge -= it->second->charge;
-    it->second->value.assign(value.data(), value.size());
-    it->second->charge = charge;
-    stripe->charge += charge;
-    total_charge_.fetch_add(charge, std::memory_order_relaxed);
-    stripe->lru.splice(stripe->lru.begin(), stripe->lru, it->second);
+    // Another reader filled it first: keep whichever version is newer.
+    if (it->second->seq >= seq) {
+      stripe->lru.splice(stripe->lru.begin(), stripe->lru, it->second);
+    } else {
+      Replace(stripe, it->second, value, seq);
+    }
   } else {
-    stripe->lru.push_front(Entry{std::move(key_str),
-                                 std::string(value.data(), value.size()),
+    const size_t charge = key.size() + value.size() + kEntryOverhead;
+    stripe->lru.push_front(Entry{key.ToString(), value.ToString(), seq,
                                  charge});
     stripe->index.emplace(stripe->lru.front().key, stripe->lru.begin());
     stripe->charge += charge;
     total_charge_.fetch_add(charge, std::memory_order_relaxed);
     total_entries_.fetch_add(1, std::memory_order_relaxed);
     admissions_->Increment();
-    while (stripe->charge > per_stripe_capacity_ &&
-           stripe->lru.size() > 1) {
-      const Entry& victim = stripe->lru.back();
-      stripe->charge -= victim.charge;
-      total_charge_.fetch_sub(victim.charge, std::memory_order_relaxed);
-      total_entries_.fetch_sub(1, std::memory_order_relaxed);
-      stripe->index.erase(victim.key);
-      stripe->lru.pop_back();
-      evictions_->Increment();
-    }
+    EvictOverBudget(stripe);
   }
+  PublishGauges();
+  return true;
+}
+
+std::unique_lock<std::mutex> HotKeyCache::LockForWrite(const Slice& key,
+                                                       Stripe** stripe) {
+  if (fault::AnyActive()) {
+    // "cache.invalidate": only the delay action matters (it models a
+    // slow write path between commit and ack). Error statuses are
+    // ignored on purpose — a write's guard bump must never be skipped,
+    // or an acked overwrite could stay shadowed forever.
+    (void)fault::Inject("cache.invalidate");
+  }
+  const uint64_t hash = Hash64(key.data(), key.size(), 0xcafe);
+  *stripe = StripeFor(hash);
+  const uint32_t slot = static_cast<uint32_t>(hash >> 32) & slot_mask_;
+  std::unique_lock<std::mutex> lock((*stripe)->mu);
+  (*stripe)->guard[slot]++;
+  invalidations_->Increment();
+  return lock;
+}
+
+void HotKeyCache::Refresh(const Slice& key, const Slice& value,
+                          uint64_t seq) {
+  Stripe* stripe = nullptr;
+  std::unique_lock<std::mutex> lock = LockForWrite(key, &stripe);
+  auto it = stripe->index.find(key.ToStringView());
+  if (it == stripe->index.end() || it->second->seq >= seq) {
+    return;  // not cached, or a newer version already is
+  }
+  if (value.size() > options_.max_value_bytes) {
+    Erase(stripe, it->second);
+  } else {
+    Replace(stripe, it->second, value, seq);
+    refreshes_->Increment();
+  }
+  PublishGauges();
+}
+
+void HotKeyCache::Invalidate(const Slice& key) {
+  Stripe* stripe = nullptr;
+  std::unique_lock<std::mutex> lock = LockForWrite(key, &stripe);
+  auto it = stripe->index.find(key.ToStringView());
+  if (it != stripe->index.end()) {
+    Erase(stripe, it->second);
+  }
+}
+
+void HotKeyCache::Replace(Stripe* stripe, std::list<Entry>::iterator entry,
+                          const Slice& value, uint64_t seq) {
+  const size_t charge = entry->key.size() + value.size() + kEntryOverhead;
+  stripe->charge = stripe->charge - entry->charge + charge;
+  total_charge_.fetch_add(charge, std::memory_order_relaxed);
+  total_charge_.fetch_sub(entry->charge, std::memory_order_relaxed);
+  entry->value.assign(value.data(), value.size());
+  entry->seq = seq;
+  entry->charge = charge;
+  stripe->lru.splice(stripe->lru.begin(), stripe->lru, entry);
+  // A grown entry counts against the budget like a new one.
+  EvictOverBudget(stripe);
+}
+
+void HotKeyCache::EvictOverBudget(Stripe* stripe) {
+  while (stripe->charge > per_stripe_capacity_ && stripe->lru.size() > 1) {
+    Erase(stripe, std::prev(stripe->lru.end()));
+    evictions_->Increment();
+  }
+}
+
+void HotKeyCache::Erase(Stripe* stripe, std::list<Entry>::iterator entry) {
+  stripe->charge -= entry->charge;
+  total_charge_.fetch_sub(entry->charge, std::memory_order_relaxed);
+  total_entries_.fetch_sub(1, std::memory_order_relaxed);
+  stripe->index.erase(entry->key);
+  stripe->lru.erase(entry);
+}
+
+void HotKeyCache::PublishGauges() {
   entries_gauge_->Set(
       static_cast<double>(total_entries_.load(std::memory_order_relaxed)));
   bytes_gauge_->Set(
       static_cast<double>(total_charge_.load(std::memory_order_relaxed)));
-  return true;
-}
-
-void HotKeyCache::Invalidate(const Slice& key) {
-  if (fault::AnyActive()) {
-    // "cache.invalidate": only the delay action matters (it models a
-    // slow write path between commit and ack). Error statuses are
-    // ignored on purpose — an invalidation must never be skipped, or
-    // an acked overwrite could stay shadowed forever.
-    (void)fault::Inject("cache.invalidate");
-  }
-  const uint64_t hash = Hash64(key.data(), key.size(), 0xcafe);
-  Stripe* stripe = StripeFor(hash);
-  const uint32_t slot = static_cast<uint32_t>(hash >> 32) & slot_mask_;
-  std::lock_guard<std::mutex> lock(stripe->mu);
-  stripe->guard[slot]++;
-  auto it = stripe->index.find(std::string(key.data(), key.size()));
-  if (it != stripe->index.end()) {
-    total_charge_.fetch_sub(it->second->charge, std::memory_order_relaxed);
-    total_entries_.fetch_sub(1, std::memory_order_relaxed);
-    stripe->charge -= it->second->charge;
-    stripe->lru.erase(it->second);
-    stripe->index.erase(it);
-  }
-  invalidations_->Increment();
 }
 
 void HotKeyCache::Clear() {
@@ -261,8 +302,7 @@ void HotKeyCache::Clear() {
     stripe->index.clear();
     stripe->lru.clear();
   }
-  entries_gauge_->Set(0);
-  bytes_gauge_->Set(0);
+  PublishGauges();
 }
 
 size_t HotKeyCache::entries() const {

@@ -39,43 +39,54 @@ struct HotKeyCacheOptions {
 /// DB::Get on the server's read path (docs/ARCHITECTURE.md).
 ///
 /// Coherence protocol. The cache itself cannot know when the store
-/// changes, so the caller must Invalidate(key) after every committed
-/// write of `key` and before acknowledging that write. The remaining
-/// hazard is the read-side fill race:
+/// changes, so the caller must, after every committed write of `key`
+/// and before acknowledging it, either Refresh(key, value, seq) the
+/// entry to the committed version (a PUT) or Invalidate(key) it (a
+/// delete, or a commit that failed). Every entry carries the sequence
+/// number of the version it holds, and neither Refresh nor Insert ever
+/// replaces an entry with a lower-sequence version, so two writers'
+/// updates of one key land in commit order whatever order they arrive
+/// in. The remaining hazard is the read-side fill race:
 ///
 ///   reader: Lookup(k) -> miss          writer: DB commits k=v2
-///   reader: DB::Get(k) -> v1 (stale)   writer: Invalidate(k); ack v2
+///   reader: DB::Get(k) -> v1 (stale)   writer: Refresh(k, v2); ack v2
 ///   reader: Insert(k, v1)              <- must NOT be published!
 ///
 /// Lookup therefore hands the reader a FillToken carrying the epoch of
 /// the key's guard slot, and Insert republishes only while that epoch
-/// is unchanged. Invalidate erases the entry AND bumps the guard slot.
-/// All three touch the guard under the stripe mutex, so for any
+/// is unchanged. Refresh and Invalidate both bump the guard slot.
+/// All of them touch the guard under the stripe mutex, so for any
 /// reader/writer pair only three interleavings exist, each safe:
-///  - Invalidate before Lookup: the mutex orders the writer's commit
-///    before the reader's DB::Get, which then sees v2;
-///  - Invalidate between Lookup and Insert: the token is stale and the
+///  - the write's bump before Lookup: the mutex orders the writer's
+///    commit before the reader's DB::Get, which then sees v2 or newer;
+///  - the bump between Lookup and Insert: the token is stale and the
 ///    fill is rejected (counted in cache.rejected_fills);
-///  - Invalidate after Insert: the stale entry is erased again before
-///    the writer acks.
-/// Hence after a write is acked the cache holds either nothing or the
-/// acked value for that key — an acked overwrite can never be shadowed.
-/// Guard slots are hashed (guard_slots per stripe), so collisions only
-/// over-reject fills; they never admit a stale one.
+///  - the bump after Insert: the entry exists, so Refresh replaces it
+///    with v2 (unless it already holds a newer version) and Invalidate
+///    erases it, before the writer acks.
+/// Hence once a write is acked the cache holds nothing for its key, or
+/// a version whose sequence is at least the write's — an acked
+/// overwrite can never be shadowed. Refresh never admits an uncached
+/// key (admission stays read-driven). Guard slots are hashed
+/// (guard_slots per stripe), so collisions only over-reject fills; they
+/// never admit a stale one.
 ///
 /// Fail points (runtime-registered, not part of the crash-sweep builtin
 /// list — see src/fault/fail_point.cc):
 ///  - "cache.poison": evaluated at the top of Insert. A delay action
 ///    widens the miss->overwrite->fill race window so the token guard
 ///    is exercised; an error action drops the fill entirely.
-///  - "cache.invalidate": evaluated at the top of Invalidate. Only the
-///    delay action is honored — error statuses are deliberately ignored
-///    because skipping an invalidation would break the protocol above.
+///  - "cache.invalidate": evaluated at the top of Refresh and
+///    Invalidate. Only the delay action is honored — error statuses are
+///    deliberately ignored because skipping a write's guard bump would
+///    break the protocol above.
 ///
 /// Metrics (registered in `registry`): cache.hits, cache.misses,
-/// cache.admissions, cache.evictions, cache.invalidations,
-/// cache.rejected_fills (token-guard rejections), cache.filtered
-/// (admission-filter rejections), and gauges cache.entries/cache.bytes.
+/// cache.admissions, cache.evictions, cache.invalidations (one per
+/// written key, Refresh or Invalidate), cache.refreshes (entries a
+/// Refresh replaced in place), cache.rejected_fills (token-guard
+/// rejections), cache.filtered (admission-filter rejections), and
+/// gauges cache.entries/cache.bytes.
 ///
 /// Thread safety: fully thread-safe; every public call takes exactly
 /// one stripe mutex (Clear takes them one at a time).
@@ -103,17 +114,28 @@ class HotKeyCache {
   bool Lookup(const Slice& key, std::string* value, FillToken* token);
 
   /// Publishes a value the caller read from the store after the Lookup
-  /// miss that produced `token`. Dropped (returns false) when the
-  /// token's guard epoch has moved (a write invalidated the key in the
-  /// meantime), when the admission filter rejects the key, when the
-  /// value exceeds max_value_bytes, or when "cache.poison" fires with
-  /// an error action.
-  bool Insert(const Slice& key, const Slice& value,
-              const FillToken& token);
+  /// miss that produced `token`; `seq` is the sequence of the version
+  /// read (DB::Get reports it; 0 = unknown, which never replaces a
+  /// cached entry). Dropped (returns false) when the token's guard epoch
+  /// has moved (a write touched the key in the meantime), when the
+  /// admission filter rejects the key, when the value exceeds
+  /// max_value_bytes, or when "cache.poison" fires with an error action.
+  /// An entry already holding a version at or above `seq` is kept
+  /// (returns true).
+  bool Insert(const Slice& key, const Slice& value, const FillToken& token,
+              uint64_t seq = 0);
+
+  /// A committed PUT of `key` = `value` at sequence `seq`: bumps the
+  /// key's guard slot so in-flight fills of older values are rejected,
+  /// and replaces a cached entry holding a lower sequence. Never admits
+  /// an uncached key; erases the entry when `value` exceeds
+  /// max_value_bytes. Callers must invoke this after the store commit
+  /// and before acking the write.
+  void Refresh(const Slice& key, const Slice& value, uint64_t seq);
 
   /// Erases any cached entry for `key` and bumps its guard slot so
   /// in-flight fills of the old value are rejected. Callers must invoke
-  /// this after the store commit and before acking the write.
+  /// this after a delete or a failed commit and before acking it.
   void Invalidate(const Slice& key);
 
   /// Drops every entry and bumps every guard slot.
@@ -127,11 +149,26 @@ class HotKeyCache {
   struct Entry {
     std::string key;
     std::string value;
+    uint64_t seq = 0;
     size_t charge = 0;
   };
   struct Stripe;
 
   Stripe* StripeFor(uint64_t hash) const;
+  /// The write half of the protocol, shared by Refresh and Invalidate:
+  /// evaluates "cache.invalidate", locks the key's stripe, bumps the
+  /// key's guard slot and counts an invalidation.
+  std::unique_lock<std::mutex> LockForWrite(const Slice& key,
+                                            Stripe** stripe);
+  /// Replaces `entry`'s value in place and moves it to the LRU front,
+  /// then evicts from the LRU tail until the stripe fits its budget.
+  void Replace(Stripe* stripe, std::list<Entry>::iterator entry,
+               const Slice& value, uint64_t seq);
+  /// Evicts LRU-tail entries while the stripe is over its budget.
+  void EvictOverBudget(Stripe* stripe);
+  /// Unlinks `entry` from the stripe's map, LRU list and byte counts.
+  void Erase(Stripe* stripe, std::list<Entry>::iterator entry);
+  void PublishGauges();
   /// Count-Min estimate after counting this access.
   uint32_t SketchTouch(uint64_t hash);
   void SketchAgeIfDue();
@@ -159,6 +196,7 @@ class HotKeyCache {
   obs::Counter* admissions_;
   obs::Counter* evictions_;
   obs::Counter* invalidations_;
+  obs::Counter* refreshes_;
   obs::Counter* rejected_fills_;
   obs::Counter* filtered_;
   obs::Gauge* entries_gauge_;

@@ -177,6 +177,7 @@ Status DB::Open(PmemEnv* env, const CacheKVOptions& options, bool recover,
   for (int i = 0; i < options.num_index_threads; i++) {
     d->index_threads_.emplace_back(&DB::IndexThread, d.get());
   }
+  d->zone_thread_ = std::thread(&DB::ZoneThread, d.get());
   DB* raw = d.get();
   d->vlog_gc_ = std::make_unique<VlogGc>(
       d->vlog_.get(), &d->metrics_,
@@ -207,6 +208,7 @@ DB::~DB() {
   {
     std::lock_guard<std::mutex> lock(index_mu_);
     index_cv_.notify_all();
+    zone_cv_.notify_all();
   }
   for (auto& t : flush_threads_) {
     if (t.joinable()) t.join();
@@ -214,6 +216,7 @@ DB::~DB() {
   for (auto& t : index_threads_) {
     if (t.joinable()) t.join();
   }
+  if (zone_thread_.joinable()) zone_thread_.join();
 }
 
 std::string DB::Name() const {
@@ -349,13 +352,23 @@ Status DB::AppendRecords(int core, const Slice& records, uint32_t count) {
     if (!options_.lazy_index_update) {
       // PCSM mode: diligently update the sub-skiplist on every write.
       OBS_SPAN(&metrics_, "put.index_sync");
-      return t->index->SyncWithTable(t->table);
+      return Replay(t.get());
     }
     uint64_t pending = t->writes_since_sync.fetch_add(
                            count, std::memory_order_relaxed) +
                        count;
     if (pending >= options_.sync_write_threshold) {
       t->writes_since_sync.store(0, std::memory_order_relaxed);
+      if (t->index->Lag(t->table.ReadHeader().counter) >
+          kMaxLagThresholds * options_.sync_write_threshold) {
+        // The index threads fell behind (stalled, or backing off after
+        // an error): this writer replays its table itself. A failure is
+        // left to the queued request, whose retries own error handling.
+        OBS_SPAN(&metrics_, "put.index_sync");
+        if (Replay(t.get()).ok()) {
+          return s;
+        }
+      }
       ScheduleSync(t);
     }
     return s;
@@ -565,8 +578,9 @@ Iterator* DB::NewScanIteratorAt(SequenceNumber snapshot) {
           vlog_pin_(db->vlog_->PinSegments()) {
       std::vector<Iterator*> children;
       for (const auto& t : db->live_tables_) {
-        // Read trigger: scans need the same strict consistency as Gets.
-        Status s = t->index->SyncWithTable(t->table);
+        // Read trigger: the iterator walks the index alone, so it must
+        // hold every record published so far.
+        Status s = db->Replay(t.get());
         if (!s.ok()) {
           status_ = s;
         }
@@ -662,22 +676,23 @@ Status DB::SearchRaw(const Slice& key, RawResult* out,
   out->value.clear();
   out->where = RawResult::Where::kNone;
 
-  // 1) Memory component: every live sub-MemTable (read trigger: sync
-  //    the sub-skiplist before searching; §III-B strict consistency).
+  // 1) Memory component: every live sub-MemTable. Strict consistency
+  //    (§III-B) without the read trigger: each table's index answers for
+  //    the records it has linked, and the unreplayed tail is scanned
+  //    read-only, so a Get never does the index threads' work.
   {
     OBS_SPAN(&metrics_, "get.memtable");
     std::shared_lock<std::shared_mutex> lock(tables_mu_);
     const SubSkiplist* best_index = nullptr;
     SubSkiplist::Candidate best_candidate;
     for (const auto& t : live_tables_) {
-      Status s = t->index->SyncWithTable(t->table);
+      SubSkiplist::Candidate c;
+      bool hit = false;
+      Status s = t->index->GetLive(t->table, key, max_sequence, &c, &hit);
       if (!s.ok()) {
         return s;
       }
-      index_syncs_->Increment();
-      SubSkiplist::Candidate c;
-      if (t->index->Get(key, &c, max_sequence) &&
-          (!out->found || c.sequence > out->sequence)) {
+      if (hit && (!out->found || c.sequence > out->sequence)) {
         out->found = true;
         out->sequence = c.sequence;
         out->type = c.type;
@@ -752,16 +767,20 @@ Status DB::SearchRaw(const Slice& key, RawResult* out,
 }
 
 Status DB::Get(const Slice& key, std::string* value) {
-  return GetImpl(key, kMaxSequenceNumber, value);
+  return GetImpl(key, kMaxSequenceNumber, value, nullptr);
+}
+
+Status DB::Get(const Slice& key, std::string* value, SequenceNumber* seq) {
+  return GetImpl(key, kMaxSequenceNumber, value, seq);
 }
 
 Status DB::GetAt(const Slice& key, SequenceNumber snapshot,
                  std::string* value) {
-  return GetImpl(key, snapshot, value);
+  return GetImpl(key, snapshot, value, nullptr);
 }
 
 Status DB::GetImpl(const Slice& key, SequenceNumber max_sequence,
-                   std::string* value) {
+                   std::string* value, SequenceNumber* seq) {
   OBS_SPAN(&metrics_, "get");
   obs::TraceScope trace(&trace_, "get");
   gets_->Increment();
@@ -824,6 +843,9 @@ Status DB::GetImpl(const Slice& key, SequenceNumber max_sequence,
     return Status::NotFound(r.where == RawResult::Where::kNone
                                 ? "no visible entry"
                                 : "deleted");
+  }
+  if (seq != nullptr) {
+    *seq = r.sequence;
   }
   return Status::OK();
 }
@@ -907,6 +929,15 @@ Status DB::RelocateForGc(SequenceNumber record_seq, const Slice& key,
   return Status::OK();
 }
 
+Status DB::Replay(ActiveTable* table) {
+  const uint64_t before = table->index->list_counter();
+  Status s = table->index->SyncWithTable(table->table);
+  if (table->index->list_counter() != before) {
+    index_syncs_->Increment();
+  }
+  return s;
+}
+
 void DB::ScheduleSync(const std::shared_ptr<ActiveTable>& table) {
   if (table->sync_scheduled.exchange(true, std::memory_order_acq_rel)) {
     return;
@@ -921,7 +952,7 @@ Status DB::CopyFlushOne(std::shared_ptr<ActiveTable> sealed) {
   OBS_SPAN(&metrics_, "flush.copy");
   obs::TraceScope trace(&trace_, "flush.copy");
   // Final synchronization of the sub-skiplist (lazy trigger 3).
-  Status s = sealed->index->SyncWithTable(sealed->table);
+  Status s = Replay(sealed.get());
   if (!s.ok()) {
     return s;
   }
@@ -1006,12 +1037,12 @@ Status DB::CopyFlushOne(std::shared_ptr<ActiveTable> sealed) {
     return s;
   }
 
-  // Ask the index thread to fold the new table into the global skiplist
+  // Ask the zone thread to fold the new table into the global skiplist
   // and to check the zone-to-L0 threshold.
   {
     std::lock_guard<std::mutex> lock(index_mu_);
     compaction_requested_ = true;
-    index_cv_.notify_one();
+    zone_cv_.notify_one();
   }
   return Status::OK();
 }
@@ -1114,51 +1145,60 @@ void DB::IndexThread() {
   trace_.SetThreadName("index");
   std::unique_lock<std::mutex> lock(index_mu_);
   while (true) {
-    while (sync_queue_.empty() && !compaction_requested_ &&
+    while (sync_queue_.empty() &&
            !shutting_down_.load(std::memory_order_acquire)) {
       index_cv_.wait(lock);
     }
-    if (sync_queue_.empty() && !compaction_requested_ &&
-        shutting_down_.load(std::memory_order_acquire)) {
-      return;
+    if (sync_queue_.empty()) {
+      return;  // shutting down
     }
-    if (!sync_queue_.empty()) {
-      auto table = std::move(sync_queue_.front());
-      sync_queue_.pop_front();
-      index_work_in_flight_++;
-      lock.unlock();
-      table->sync_scheduled.store(false, std::memory_order_release);
-      // Lazy index update (trigger 2), §III-B: batch-replay the appended
-      // records into the sub-skiplist without blocking writers. Sync is
-      // idempotent (replays from the last synced offset), so transient
-      // failures simply back off and run it again.
-      int attempt = 0;
-      for (;;) {
-        Status s;
-        {
-          OBS_SPAN(&metrics_, "index.sync");
-          obs::TraceScope sync_trace(&trace_, "index.sync");
-          s = [&]() -> Status {
-            CACHEKV_FAIL_POINT("index.sync");
-            return table->index->SyncWithTable(table->table);
-          }();
-        }
-        if (s.ok() || shutting_down_.load(std::memory_order_acquire)) {
-          break;
-        }
-        std::chrono::milliseconds backoff(0);
-        if (bg_errors_.OnError("index.sync", s, attempt, &backoff) ==
-            BackgroundErrorManager::Decision::kFail) {
-          break;
-        }
-        attempt++;
-        std::this_thread::sleep_for(backoff);
+    auto table = std::move(sync_queue_.front());
+    sync_queue_.pop_front();
+    index_work_in_flight_++;
+    lock.unlock();
+    table->sync_scheduled.store(false, std::memory_order_release);
+    // Lazy index update (trigger 2), §III-B: batch-replay the appended
+    // records into the sub-skiplist without blocking writers. Sync is
+    // idempotent (replays from the last synced offset), so transient
+    // failures simply back off and run it again.
+    int attempt = 0;
+    for (;;) {
+      Status s;
+      {
+        OBS_SPAN(&metrics_, "index.sync");
+        obs::TraceScope sync_trace(&trace_, "index.sync");
+        s = [&]() -> Status {
+          CACHEKV_FAIL_POINT("index.sync");
+          return Replay(table.get());
+        }();
       }
-      index_syncs_->Increment();
-      lock.lock();
-      index_work_in_flight_--;
-      index_done_cv_.notify_all();
-      continue;
+      if (s.ok() || shutting_down_.load(std::memory_order_acquire)) {
+        break;
+      }
+      std::chrono::milliseconds backoff(0);
+      if (bg_errors_.OnError("index.sync", s, attempt, &backoff) ==
+          BackgroundErrorManager::Decision::kFail) {
+        break;
+      }
+      attempt++;
+      std::this_thread::sleep_for(backoff);
+    }
+    lock.lock();
+    index_work_in_flight_--;
+    index_done_cv_.notify_all();
+  }
+}
+
+void DB::ZoneThread() {
+  trace_.SetThreadName("zone");
+  std::unique_lock<std::mutex> lock(index_mu_);
+  while (true) {
+    while (!compaction_requested_ &&
+           !shutting_down_.load(std::memory_order_acquire)) {
+      zone_cv_.wait(lock);
+    }
+    if (!compaction_requested_) {
+      return;  // shutting down
     }
     // Zone work: compaction of the sub-skiplists (§III-D) and the flush
     // to L0 once the staged bytes cross the threshold.

@@ -54,6 +54,9 @@ class DB : public KVStore {
 
   Status Put(const Slice& key, const Slice& value) override;
   Status Get(const Slice& key, std::string* value) override;
+  /// Get that also reports, on success, the sequence number of the
+  /// version returned (the hot-key cache orders its entries by it).
+  Status Get(const Slice& key, std::string* value, SequenceNumber* seq);
   Status Delete(const Slice& key) override;
   std::string Name() const override;
   Status WaitIdle() override;
@@ -253,9 +256,10 @@ class DB : public KVStore {
                    SequenceNumber max_sequence = kMaxSequenceNumber);
 
   /// Shared body of Get / GetAt: bounded search plus value-pointer
-  /// resolution and hit/miss accounting.
+  /// resolution and hit/miss accounting. `seq` (nullable) receives the
+  /// answering version's sequence on success.
   Status GetImpl(const Slice& key, SequenceNumber max_sequence,
-                 std::string* value);
+                 std::string* value, SequenceNumber* seq);
 
   /// True when a Put of (key, value) goes through the value log.
   bool ShouldSeparate(const Slice& key, const Slice& value) const;
@@ -286,9 +290,18 @@ class DB : public KVStore {
   // Background machinery.
   void FlushThread();
   void IndexThread();
+  void ZoneThread();
   Status CopyFlushOne(std::shared_ptr<ActiveTable> sealed);
   Status FlushZoneToL0();
   void ScheduleSync(const std::shared_ptr<ActiveTable>& table);
+  /// Replays `table`'s unindexed records into its sub-skiplist; a pass
+  /// that indexed any record counts in db.index_syncs.
+  Status Replay(ActiveTable* table);
+
+  /// Lag cap: a writer whose append leaves its table more than this many
+  /// sync_write_threshold's unreplayed replays it inline, so a stalled
+  /// index thread cannot make every Get scan a whole table.
+  static constexpr uint64_t kMaxLagThresholds = 16;
 
   PmemEnv* env_;
   CacheKVOptions options_;
@@ -369,14 +382,19 @@ class DB : public KVStore {
   int flushes_in_flight_ = 0;
   std::vector<std::thread> flush_threads_;
 
-  // Index/compaction work queue (lazy index trigger 2 + zone work).
+  // Background index work, under one mutex: the index threads replay
+  // the queued tables (lazy index trigger 2); the zone thread runs the
+  // sub-skiplist compaction and the zone-to-L0 flush after a copy-flush,
+  // so neither stalls the replays.
   std::mutex index_mu_;
   std::condition_variable index_cv_;
+  std::condition_variable zone_cv_;
   std::condition_variable index_done_cv_;
   std::deque<std::shared_ptr<ActiveTable>> sync_queue_;
   bool compaction_requested_ = false;
   int index_work_in_flight_ = 0;
   std::vector<std::thread> index_threads_;
+  std::thread zone_thread_;
 
   std::atomic<bool> shutting_down_{false};
 };

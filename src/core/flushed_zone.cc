@@ -74,58 +74,6 @@ bool GlobalSkiplist::Get(const Slice& user_key, Candidate* out) const {
   return true;
 }
 
-class GlobalSkiplist::Iter : public Iterator {
- public:
-  Iter(const GlobalSkiplist* list, PmemEnv* env)
-      : env_(env), iter_(&list->index_) {}
-
-  bool Valid() const override { return iter_.Valid(); }
-
-  void SeekToFirst() override {
-    iter_.SeekToFirst();
-    loaded_ = false;
-  }
-
-  void Seek(const Slice& internal_key) override {
-    iter_.Seek(EncodeSeekEntry(&scratch_, internal_key));
-    loaded_ = false;
-  }
-
-  void Next() override {
-    iter_.Next();
-    loaded_ = false;
-  }
-
-  Slice key() const override { return GlobalEntryKey(iter_.key()); }
-
-  Slice value() const override {
-    if (!loaded_) {
-      const uint64_t addr = GlobalEntryAddr(iter_.key());
-      RecordHeader record;
-      if (DecodeRecordHeaderAt(env_, addr, &record)) {
-        LoadRecordValue(env_, addr, record, &value_);
-      } else {
-        value_.clear();
-      }
-      loaded_ = true;
-    }
-    return Slice(value_);
-  }
-
-  Status status() const override { return Status::OK(); }
-
- private:
-  PmemEnv* env_;
-  Index::Iterator iter_;
-  std::string scratch_;
-  mutable std::string value_;
-  mutable bool loaded_ = false;
-};
-
-Iterator* GlobalSkiplist::NewIterator(PmemEnv* env) const {
-  return new Iter(this, env);
-}
-
 FlushedZone::FlushedZone(PmemEnv* env, uint64_t registry_base,
                          uint64_t registry_slot_size,
                          bool compaction_enabled,

@@ -64,9 +64,6 @@ class GlobalSkiplist {
   /// Freshest entry for user_key.
   bool Get(const Slice& user_key, Candidate* out) const;
 
-  /// Iterator over (internal key, value); values load from PMem lazily.
-  Iterator* NewIterator(PmemEnv* env) const;
-
   uint64_t NumEntries() const { return num_entries_; }
 
  private:
@@ -75,8 +72,6 @@ class GlobalSkiplist {
     int operator()(const char* a, const char* b) const;
   };
   typedef SkipList<const char*, KeyComparator> Index;
-
-  class Iter;
 
   KeyComparator comparator_;
   Arena arena_;

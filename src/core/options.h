@@ -9,8 +9,8 @@ namespace cachekv {
 
 /// Configuration of a CacheKV store (§III). The defaults follow the
 /// paper's evaluation setup (§IV-A): a 12 MB sub-MemTable pool inside the
-/// LLC, 2 MB sub-MemTables, one background flush thread and one
-/// background index/compaction thread.
+/// LLC, 2 MB sub-MemTables, one background flush thread, one background
+/// index thread, and one zone thread for the sub-skiplist compaction.
 struct CacheKVOptions {
   /// Capacity of the CAT pseudo-locked sub-MemTable pool. Must match the
   /// environment's cat_locked_bytes.
@@ -28,13 +28,18 @@ struct CacheKVOptions {
   /// Background copy-based-flush threads (§III-C; Exp#5 sweeps this).
   int num_flush_threads = 1;
 
-  /// Background threads for the lazy index update and the sub-skiplist
-  /// compaction (§III-B, §III-D; the paper uses one).
+  /// Background threads for the lazy index update (§III-B; the paper
+  /// uses one). They only replay records into the sub-skiplists: the
+  /// sub-skiplist compaction and the zone-to-L0 flush (§III-D) run on a
+  /// zone thread of their own, so a long pass never stalls the replays.
   int num_index_threads = 1;
 
   /// Lazy-index trigger 2: schedule a background sync for a sub-skiplist
   /// once this many writes accumulated since its last synchronization.
-  uint32_t sync_write_threshold = 256;
+  /// Gets scan the records not yet replayed, so a low threshold keeps
+  /// that tail short; a writer whose table falls 16 thresholds behind
+  /// replays it inline.
+  uint32_t sync_write_threshold = 16;
 
   /// Flush the compacted sub-ImmMemTable zone into the LSM-tree's L0
   /// once its total size reaches this threshold (§III-D).

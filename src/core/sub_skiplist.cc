@@ -136,6 +136,36 @@ bool SubSkiplist::Get(const Slice& user_key, Candidate* out,
   return true;
 }
 
+Status SubSkiplist::GetLive(const SubMemTable& table, const Slice& user_key,
+                            SequenceNumber max_sequence, Candidate* out,
+                            bool* found) const {
+  uint32_t offset = list_tail();
+  const uint32_t tail = table.ReadHeader().tail;
+  *found = Get(user_key, out, max_sequence);
+  const uint64_t base = table.data_offset();
+  std::string key;
+  while (offset < tail) {
+    RecordHeader record;
+    if (!DecodeRecordHeaderAt(env_, base + offset, &record)) {
+      return Status::Corruption("bad record in unreplayed sub-memtable tail");
+    }
+    // Records of one table are in sequence order, but the index may have
+    // linked past `offset` meanwhile: compare sequences, not positions.
+    if (record.sequence <= max_sequence && record.key_len == user_key.size() &&
+        (!*found || record.sequence > out->sequence)) {
+      LoadRecordKey(env_, base + offset, record, &key);
+      if (Slice(key) == user_key) {
+        *found = true;
+        out->sequence = record.sequence;
+        out->type = record.type;
+        out->record_offset = offset;
+      }
+    }
+    offset += static_cast<uint32_t>(record.TotalSize());
+  }
+  return Status::OK();
+}
+
 Status SubSkiplist::ReadValue(const Candidate& candidate,
                               std::string* value) const {
   const uint64_t addr = data_base() + candidate.record_offset;

@@ -29,9 +29,9 @@ namespace cachekv {
 /// [list_tail, tail) until the counters match.
 ///
 /// Thread-safety: Sync* calls serialize on an internal mutex (they are
-/// issued by readers, background index threads, and the flusher);
-/// Get/iteration may run concurrently with a sync (LevelDB skiplist
-/// reader guarantees).
+/// issued by the background index threads, a writer past the lag cap,
+/// scans, and the flusher); Get/GetLive/iteration may run concurrently
+/// with a sync (LevelDB skiplist reader guarantees).
 class SubSkiplist {
  public:
   /// `data_base` is the PMem address of the table's data region; it is
@@ -42,9 +42,8 @@ class SubSkiplist {
   SubSkiplist(const SubSkiplist&) = delete;
   SubSkiplist& operator=(const SubSkiplist&) = delete;
 
-  /// Catches up with the live table until list_counter == table_counter
-  /// (the strict read-time trigger of §III-B). Cheap when already in
-  /// sync: one header read.
+  /// Catches up with the live table until list_counter == table_counter.
+  /// Cheap when already in sync: one header read.
   Status SyncWithTable(const SubMemTable& table);
 
   /// Catches up to an explicit (counter, tail) target; used by the
@@ -64,6 +63,18 @@ class SubSkiplist {
   /// pinned sequence; the default is the unbounded latest read).
   bool Get(const Slice& user_key, Candidate* out,
            SequenceNumber max_sequence = kMaxSequenceNumber) const;
+
+  /// Get over the live `table` this index belongs to, replaying
+  /// nothing: reads list_tail, then the table header, searches the
+  /// index, and scans the records in [list_tail, header tail) read-only
+  /// for the freshest version of user_key with sequence <= max_sequence.
+  /// Every record below that list_tail is already linked, so nothing
+  /// published before the header read is missed. *found reports a hit.
+  /// The caller keeps the table's pool slot from being released (DB
+  /// holds tables_mu_ shared).
+  Status GetLive(const SubMemTable& table, const Slice& user_key,
+                 SequenceNumber max_sequence, Candidate* out,
+                 bool* found) const;
 
   /// Loads the value of a candidate from the table data.
   Status ReadValue(const Candidate& candidate, std::string* value) const;

@@ -1140,11 +1140,22 @@ Status Server::CommitShard(uint32_t shard,
                            const std::vector<KVStore::BatchOp>& ops,
                            uint64_t* seq) {
   Status s = dbs_[shard]->ApplyBatch(ops, seq);
-  // Invalidate even when the commit failed: a spurious invalidation
-  // costs one cache miss, a missed one could shadow an acked write.
-  if (!caches_.empty()) {
-    for (const KVStore::BatchOp& op : ops) {
-      caches_[shard]->Invalidate(op.key);
+  if (caches_.empty()) {
+    return s;
+  }
+  // A batch is one sequence block ending at *seq, so op i committed at
+  // the block's first sequence plus i: each PUT refreshes its key at its
+  // own sequence, and the cache keeps whichever racing write committed
+  // last. Deletes invalidate, and so does every op of a failed commit: a
+  // spurious invalidation costs one cache miss, a missed one could
+  // shadow an acked write.
+  cache::HotKeyCache* hot = caches_[shard].get();
+  const uint64_t first = s.ok() ? *seq + 1 - ops.size() : 0;
+  for (size_t i = 0; i < ops.size(); i++) {
+    if (s.ok() && !ops[i].is_delete) {
+      hot->Refresh(ops[i].key, ops[i].value, first + i);
+    } else {
+      hot->Invalidate(ops[i].key);
     }
   }
   return s;
@@ -1504,14 +1515,15 @@ void Server::HandleRequest(Conn* conn, const Frame& frame,
       if (hot != nullptr) {
         timeline.Stage("req.cache");
       }
-      s = db->Get(req.key, &value);
+      SequenceNumber seq = 0;
+      s = db->Get(req.key, &value, &seq);
       timeline.Stage("req.db");
       if (s.ok()) {
         if (hot != nullptr) {
-          // Read-through fill, guarded by the token: if a write
-          // invalidated this key since the Lookup miss, the fill is
-          // dropped rather than shadowing the acked overwrite.
-          hot->Insert(req.key, value, token);
+          // Read-through fill, guarded by the token: if a write touched
+          // this key since the Lookup miss, the fill is dropped rather
+          // than shadowing the acked overwrite.
+          hot->Insert(req.key, value, token, seq);
           // Separate stage so a poisoned/delayed fill (cache.poison)
           // shows up under its own name in the slow log.
           timeline.Stage("req.cache.fill");

@@ -51,8 +51,8 @@ struct ServerOptions {
   /// Per-shard hot-key read cache in front of DB::Get
   /// (src/cache/hot_key_cache.h); 0 disables caching. Served entries
   /// skip the full memtable->zone->LSM descent; every committed write
-  /// invalidates its key before the write is acked, so the cache can
-  /// never shadow an acked overwrite.
+  /// refreshes (PUT) or invalidates (DEL) its key before the write is
+  /// acked, so the cache can never shadow an acked overwrite.
   size_t hot_key_cache_bytes = 8u << 20;
   /// Count-Min-sketch admission: estimated lookup frequency a key needs
   /// before a read fill is cached (--cache-admit on the daemon).
@@ -134,9 +134,10 @@ struct ServerOptions {
 /// read-through HotKeyCache (src/cache/hot_key_cache.h) consulted by
 /// GET before DB::Get; its cache.* instruments live in that shard's
 /// registry, so STATS reports per-shard hit ratios. The write path
-/// (CommitShard) invalidates the touched keys after the DB commit and
-/// before the response is appended — the ordering the cache's
-/// coherence protocol requires.
+/// (CommitShard) refreshes each PUT key at its commit sequence and
+/// invalidates each deleted key, after the DB commit and before the
+/// response is appended — the ordering the cache's coherence protocol
+/// requires.
 ///
 /// Snapshot plane (docs/SNAPSHOTS.md): SNAPSHOT pins every shard with
 /// DB::GetSnapshot and registers the handle vector under a server-issued
@@ -229,9 +230,10 @@ class Server {
   void CommitWrites(WriteRun* run);
   /// Encodes a committed run's responses.
   void RespondWrites(Conn* conn, WriteRun* run);
-  /// Commits `ops` to `shard` with one DB::ApplyBatch, then invalidates
-  /// their keys in the shard's hot-key cache (after the commit, before
-  /// any ack). On success *seq receives the commit's last sequence.
+  /// Commits `ops` to `shard` with one DB::ApplyBatch, then refreshes
+  /// each PUT's key in the shard's hot-key cache at the op's sequence
+  /// and invalidates the rest (after the commit, before any ack). On
+  /// success *seq receives the commit's last sequence.
   Status CommitShard(uint32_t shard,
                      const std::vector<KVStore::BatchOp>& ops,
                      uint64_t* seq);

@@ -7,11 +7,12 @@
 // writes monotonically increasing sequence numbers and publishes
 // acked[key] = seq only AFTER the server acknowledged the PUT. Readers
 // snapshot acked[key] BEFORE issuing the GET; whatever comes back must
-// decode to a sequence >= that snapshot. Because the server invalidates
+// decode to a sequence >= that snapshot. Because the server refreshes
 // the cache after the DB commit and before the ack, and stale fill
 // tokens are rejected (src/cache/hot_key_cache.h), the invariant holds
 // even with cache.poison and cache.invalidate delays widening every
-// race window. Run single-shard and 4-shard.
+// race window. Run single-shard and 4-shard. A separate case gives the
+// same keys two writers, whose refreshes must land in commit order.
 
 #include <gtest/gtest.h>
 
@@ -216,6 +217,72 @@ TEST_F(CacheCoherenceTest, PoisonedFillsNeverServeWhileDropped) {
   }
   EXPECT_EQ(0u, db_->CounterValue("cache.hits"));
   EXPECT_GT(db_->CounterValue("cache.rejected_fills"), 0u);
+}
+
+// The load above gives each key one writer. Here two writers overwrite
+// the same keys, so their cache refreshes can arrive out of commit order
+// (cache.invalidate delays half of them), while readers keep the keys
+// cached. Once both writers stop, every GET through the cache must
+// return what the store holds.
+TEST_F(CacheCoherenceTest, SameKeyWritersRefreshInCommitOrder) {
+  net::ServerOptions srv;
+  srv.port = 0;
+  srv.hot_key_cache_bytes = 1u << 20;
+  srv.hot_key_cache_admit = 1;
+  server_ = std::make_unique<net::Server>(
+      std::vector<DB*>{db_.get()}, net::ShardRouter(), srv);
+  ASSERT_TRUE(server_->Start().ok());
+  ASSERT_TRUE(fault::FailPointRegistry::Global()
+                  ->Enable("cache.invalidate", "p:0.5,delay:100")
+                  .ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; r++) {
+    readers.emplace_back([&] {
+      net::Client client;
+      if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      std::string value;
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (int k = 0; k < kKeys; k++) {
+          Status s = client.Get(KeyName(k), &value);
+          if (!s.ok() && !s.IsNotFound()) failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  net::Client writers[2], checker;
+  for (net::Client& c : writers) {
+    ASSERT_TRUE(c.Connect("127.0.0.1", server_->port()).ok());
+  }
+  ASSERT_TRUE(checker.Connect("127.0.0.1", server_->port()).ok());
+  for (int round = 0; round < 20 && !HasFailure(); round++) {
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 2; w++) {
+      threads.emplace_back([&, w] {
+        const std::string value =
+            "w" + std::to_string(w) + "-r" + std::to_string(round);
+        for (int k = 0; k < kKeys; k++) {
+          if (!writers[w].Put(KeyName(k), value).ok()) failures.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (int k = 0; k < kKeys; k++) {
+      std::string served, stored;
+      ASSERT_TRUE(checker.Get(KeyName(k), &served).ok());
+      ASSERT_TRUE(db_->Get(KeyName(k), &stored).ok());
+      EXPECT_EQ(stored, served) << KeyName(k) << " after round " << round;
+    }
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(0, failures.load());
+  EXPECT_GT(db_->CounterValue("cache.refreshes"), 0u);
 }
 
 class ShardedCacheCoherenceTest : public ::testing::Test {

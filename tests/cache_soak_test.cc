@@ -3,8 +3,9 @@
 // real serving protocol (Lookup -> shadow-store read -> token fill)
 // with zipfian-skewed keys, plus a chaos thread applying Clear() and
 // random invalidations. The shadow store is an atomic version array
-// standing in for the DB; the writer mirrors the server's ordering
-// (commit, invalidate, then publish the ack) and every reader asserts
+// standing in for the DB, each version its own sequence number; the
+// writer mirrors the server's ordering (commit, refresh, then publish
+// the ack) and every reader asserts
 // the cache never serves a version below the acked floor it observed
 // before its Lookup.
 //
@@ -70,9 +71,9 @@ TEST(HotKeyCacheSoakTest, ZipfianReadersNeverSeeStaleVersions) {
             w + static_cast<int>(rng.Uniform(kKeys / kWriters)) * kWriters;
         const uint64_t v =
             db[static_cast<size_t>(k)].load(std::memory_order_relaxed) + 1;
-        // The server's write ordering: commit, invalidate, ack.
+        // The server's write ordering: commit, refresh, ack.
         db[static_cast<size_t>(k)].store(v, std::memory_order_release);
-        cache.Invalidate(KeyName(k));
+        cache.Refresh(KeyName(k), std::to_string(v), v);
         acked[static_cast<size_t>(k)].store(v, std::memory_order_release);
       }
     });
@@ -99,10 +100,10 @@ TEST(HotKeyCacheSoakTest, ZipfianReadersNeverSeeStaleVersions) {
           }
         } else {
           // The serving path's miss branch: read the store, then fill
-          // under the token. A racing Invalidate rejects the fill.
+          // under the token. A racing write rejects the fill.
           const uint64_t v =
               db[static_cast<size_t>(k)].load(std::memory_order_acquire);
-          cache.Insert(key, std::to_string(v), token);
+          cache.Insert(key, std::to_string(v), token, v);
         }
       }
     });
@@ -134,6 +135,7 @@ TEST(HotKeyCacheSoakTest, ZipfianReadersNeverSeeStaleVersions) {
   EXPECT_GT(hits.load(), 1000u);
   EXPECT_GT(registry.GetCounter("cache.evictions")->value(), 0u);
   EXPECT_GT(registry.GetCounter("cache.invalidations")->value(), 0u);
+  EXPECT_GT(registry.GetCounter("cache.refreshes")->value(), 0u);
 }
 
 TEST(HotKeyCacheSoakTest, AdmissionSketchSurvivesConcurrentAging) {

@@ -162,6 +162,117 @@ TEST_F(HotKeyCacheTest, LruKeepsHotEntryUnderEvictionPressure) {
   EXPECT_EQ("hot-value", value);
 }
 
+// Two 100 B entries fill a 1,024 B stripe; growing one to 900 B must
+// evict the other, whichever path grows it.
+HotKeyCacheOptions TwoEntryOptions() {
+  HotKeyCacheOptions o;
+  o.capacity_bytes = 1024;
+  o.admit_threshold = 1;
+  o.stripes = 1;
+  return o;
+}
+
+TEST_F(HotKeyCacheTest, FillThatGrowsAnEntryEvictsFromLruTail) {
+  HotKeyCache cache(TwoEntryOptions(), &registry_);
+  std::string value;
+  HotKeyCache::FillToken token, racing;
+  ASSERT_FALSE(cache.Lookup("a", &value, &token));
+  ASSERT_TRUE(cache.Insert("a", std::string(100, 'a'), token));
+  // Two readers miss "b"; the second fill carries a newer, larger value.
+  ASSERT_FALSE(cache.Lookup("b", &value, &token));
+  ASSERT_FALSE(cache.Lookup("b", &value, &racing));
+  ASSERT_TRUE(cache.Insert("b", std::string(100, 'b'), token));
+  ASSERT_TRUE(cache.Insert("b", std::string(900, 'B'), racing, 2));
+  EXPECT_LE(cache.charge_bytes(), 1024u);
+  EXPECT_EQ(1u, cache.entries());
+  EXPECT_FALSE(cache.Lookup("a", &value, nullptr));
+  ASSERT_TRUE(cache.Lookup("b", &value, nullptr));
+  EXPECT_EQ(std::string(900, 'B'), value);
+  EXPECT_EQ(1u, Count("cache.evictions"));
+}
+
+TEST_F(HotKeyCacheTest, RefreshThatGrowsAnEntryEvictsFromLruTail) {
+  HotKeyCache cache(TwoEntryOptions(), &registry_);
+  std::string value;
+  HotKeyCache::FillToken token;
+  for (const char* key : {"a", "b"}) {
+    ASSERT_FALSE(cache.Lookup(key, &value, &token));
+    ASSERT_TRUE(cache.Insert(key, std::string(100, 'v'), token));
+  }
+  cache.Refresh("a", std::string(900, 'A'), 2);
+  EXPECT_LE(cache.charge_bytes(), 1024u);
+  EXPECT_EQ(1u, cache.entries());
+  EXPECT_FALSE(cache.Lookup("b", &value, nullptr));
+  ASSERT_TRUE(cache.Lookup("a", &value, nullptr));
+  EXPECT_EQ(std::string(900, 'A'), value);
+  EXPECT_EQ(1u, Count("cache.refreshes"));
+}
+
+TEST_F(HotKeyCacheTest, RefreshNeverReplacesANewerVersion) {
+  // Two writers' refreshes can arrive out of commit order: the entry
+  // keeps the higher sequence whichever lands last.
+  HotKeyCache cache(SmallOptions(), &registry_);
+  std::string value;
+  HotKeyCache::FillToken token;
+  ASSERT_FALSE(cache.Lookup("k", &value, &token));
+  ASSERT_TRUE(cache.Insert("k", "v5", token, 5));
+  cache.Refresh("k", "v7", 7);
+  cache.Refresh("k", "v6", 6);
+  ASSERT_TRUE(cache.Lookup("k", &value, nullptr));
+  EXPECT_EQ("v7", value);
+  EXPECT_EQ(1u, Count("cache.refreshes"));
+  // Both writes bumped the guard, refreshed or not.
+  EXPECT_EQ(2u, Count("cache.invalidations"));
+}
+
+TEST_F(HotKeyCacheTest, FillNeverReplacesANewerVersion) {
+  HotKeyCache cache(SmallOptions(), &registry_);
+  std::string value;
+  HotKeyCache::FillToken older, newer;
+  ASSERT_FALSE(cache.Lookup("k", &value, &older));
+  ASSERT_FALSE(cache.Lookup("k", &value, &newer));
+  ASSERT_TRUE(cache.Insert("k", "v2", newer, 2));
+  EXPECT_TRUE(cache.Insert("k", "v1", older, 1));
+  ASSERT_TRUE(cache.Lookup("k", &value, nullptr));
+  EXPECT_EQ("v2", value);
+}
+
+TEST_F(HotKeyCacheTest, RefreshOfAnUncachedKeyAdmitsNothing) {
+  HotKeyCache cache(SmallOptions(), &registry_);
+  cache.Refresh("k", "v", 1);
+  std::string value;
+  EXPECT_FALSE(cache.Lookup("k", &value, nullptr));
+  EXPECT_EQ(0u, cache.entries());
+  EXPECT_EQ(0u, cache.charge_bytes());
+  EXPECT_EQ(0u, Count("cache.refreshes"));
+  EXPECT_EQ(1u, Count("cache.invalidations"));
+}
+
+TEST_F(HotKeyCacheTest, RefreshBumpsTheGuardSoAStaleFillIsRejected) {
+  HotKeyCache cache(SmallOptions(), &registry_);
+  std::string value;
+  HotKeyCache::FillToken token;
+  ASSERT_FALSE(cache.Lookup("k", &value, &token));
+  cache.Refresh("k", "v2", 2);  // a write commits between miss and fill
+  EXPECT_FALSE(cache.Insert("k", "v1", token));
+  EXPECT_FALSE(cache.Lookup("k", &value, nullptr));
+  EXPECT_EQ(1u, Count("cache.rejected_fills"));
+}
+
+TEST_F(HotKeyCacheTest, OversizedRefreshErasesTheEntry) {
+  HotKeyCacheOptions o = SmallOptions();
+  o.max_value_bytes = 16;
+  HotKeyCache cache(o, &registry_);
+  std::string value;
+  HotKeyCache::FillToken token;
+  ASSERT_FALSE(cache.Lookup("k", &value, &token));
+  ASSERT_TRUE(cache.Insert("k", "small", token));
+  cache.Refresh("k", std::string(64, 'x'), 2);
+  EXPECT_FALSE(cache.Lookup("k", &value, nullptr));
+  EXPECT_EQ(0u, cache.entries());
+  EXPECT_EQ(0u, cache.charge_bytes());
+}
+
 TEST_F(HotKeyCacheTest, ClearDropsEverythingAndGuardsInFlightFills) {
   HotKeyCache cache(SmallOptions(), &registry_);
   std::string value;
